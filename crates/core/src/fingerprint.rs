@@ -64,6 +64,20 @@ const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013B;
 
+/// 128-bit FNV-1a of `bytes`: the one implementation behind query
+/// fingerprints and the serving layer's shard routing keys. The value of
+/// a given byte sequence is stable across builds and machines.
+pub fn fnv1a_128(bytes: impl IntoIterator<Item = u8>) -> u128 {
+    fnv1a_128_extend(FNV128_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a-128 hash from state `h` over `bytes`.
+fn fnv1a_128_extend(h: u128, bytes: impl IntoIterator<Item = u8>) -> u128 {
+    bytes
+        .into_iter()
+        .fold(h, |h, b| (h ^ u128::from(b)).wrapping_mul(FNV128_PRIME))
+}
+
 /// Incremental 128-bit FNV-1a hasher. FNV is byte-sequential, so a
 /// fingerprint can be composed from pre-serialized chunks without
 /// materializing the concatenated encoding.
@@ -76,10 +90,7 @@ impl Fnv128 {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
+        self.0 = fnv1a_128_extend(self.0, bytes.iter().copied());
     }
 
     fn finish(self) -> u128 {

@@ -25,6 +25,7 @@
 //! test drives a chain of chaos-wrapped stages over generated workloads
 //! to check the guarantee holds under any failure combination.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,9 +166,9 @@ impl<'a> FallbackChain<'a> {
     }
 
     /// One snapshot of every chain counter — stage hits, floor hits,
-    /// fallback count, and per-kind error buckets. Prefer this over
-    /// loading individual counters: under concurrency it yields one
-    /// coherent view instead of counters sampled at different times.
+    /// fallback count, and per-kind error buckets. Under concurrency it
+    /// yields one coherent view instead of counters sampled at different
+    /// times.
     pub fn stage_stats(&self) -> ChainStats {
         let all: Vec<u64> = self
             .stage_hits
@@ -191,126 +192,11 @@ impl<'a> FallbackChain<'a> {
         }
     }
 
-    /// How many estimates each stage produced; the final entry is the
-    /// constant floor. Prefer [`stage_stats`](Self::stage_stats) for a
-    /// coherent multi-counter view.
-    pub fn stage_hits(&self) -> Vec<u64> {
-        self.stage_hits
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// How many estimates required at least one fallback (i.e. were not
-    /// answered by the first stage).
-    pub fn fallback_count(&self) -> u64 {
-        self.stage_stats().fallback_count
-    }
-
-    /// Stage failures observed so far, labelled by error class.
-    pub fn error_counts(&self) -> Vec<(&'static str, u64)> {
-        self.stage_stats().error_counts
-    }
-
-    fn record_error(&self, kind: EstimateErrorKind) {
-        self.error_counts[kind.as_index()].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl CardinalityEstimator for FallbackChain<'_> {
-    fn name(&self) -> String {
-        let mut parts: Vec<String> = self.stages.iter().map(|s| s.name()).collect();
-        parts.push("floor".into());
-        format!("fallback({})", parts.join(" → "))
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        match self.try_estimate(query) {
-            Ok(e) => e.value,
-            // Unreachable: the floor makes the chain total. Still, the
-            // infallible contract must hold even if that invariant is
-            // broken by a future edit.
-            Err(_) => self.floor,
-        }
-    }
-
-    /// Never returns `Err`: the constant floor answers when every real
-    /// stage has failed. The `Result` signature is kept so the chain
-    /// composes as a stage of an outer chain.
-    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        for (depth, stage) in self.stages.iter().enumerate() {
-            let names = self
-                .metrics
-                .as_ref()
-                .map(|m| (&m.recorder, &m.stages[depth]));
-            if let Some((recorder, names)) = names {
-                recorder.incr(&names.attempts);
-            }
-            let started = Instant::now();
-            let outcome = stage.try_estimate(query);
-            if let Some((recorder, names)) = names {
-                recorder.record(&names.latency, started.elapsed());
-            }
-            match outcome {
-                Ok(est) => {
-                    // Defense in depth: an `Ok` is only trusted after
-                    // re-validation — a buggy (or chaos-injected) stage
-                    // may hand back NaN wrapped in `Ok`.
-                    if est.value.is_finite() && est.value >= 1.0 {
-                        self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
-                        if let Some((recorder, names)) = names {
-                            recorder.incr(&names.hits);
-                        }
-                        // Provenance names the *stage* as this chain sees
-                        // it (e.g. `chaos(postgres)`), not whatever label
-                        // the stage put on its own answer — the chain's
-                        // observability story is about its own stages.
-                        return Ok(Estimate {
-                            value: est.value,
-                            estimator: stage.name(),
-                            fallback_depth: depth,
-                        });
-                    }
-                    self.record_error(EstimateErrorKind::NonFinite);
-                    if let Some((recorder, names)) = names {
-                        recorder.incr(&names.errors[EstimateErrorKind::NonFinite.as_index()]);
-                    }
-                }
-                Err(e) => {
-                    self.record_error(e.kind());
-                    if let Some((recorder, names)) = names {
-                        recorder.incr(&names.errors[e.kind().as_index()]);
-                    }
-                }
-            }
-        }
-        let depth = self.stages.len();
-        self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.recorder.incr(&m.floor_hits);
-        }
-        Ok(Estimate {
-            value: self.floor,
-            estimator: "floor".into(),
-            fallback_depth: depth,
-        })
-    }
-
-    /// Batched chain traversal: each stage sees **one**
-    /// [`estimate_batch`](CardinalityEstimator::estimate_batch) call
-    /// covering every query still unanswered at its depth, so a
-    /// batch-aware first stage (the learned estimator) amortizes its
-    /// featurize-and-forward across the whole batch while only the
-    /// per-row failures are routed down the fallback stages. Counters
-    /// and provenance match the singleton path exactly: a query answered
-    /// at depth `d` bumps the same stage-hit and error buckets it would
-    /// have under [`try_estimate`](CardinalityEstimator::try_estimate).
-    /// Per-stage latency is recorded amortized (batch elapsed ÷ rows
-    /// attempted, once per row), so histogram counts stay comparable
-    /// with the singleton path while the sum reflects wall time.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
-        let floor_depth = self.stages.len();
-        let mut results: Vec<Option<Estimate>> = vec![None; queries.len()];
+    /// The stage walk behind both entry points (see
+    /// [`estimate_batch`](CardinalityEstimator::estimate_batch)). Returns
+    /// each row's stage answer, `None` when no stage answered it.
+    fn walk(&self, queries: &[Query]) -> Vec<Option<Estimate>> {
+        let mut answers: Vec<Option<Estimate>> = vec![None; queries.len()];
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         for (depth, stage) in self.stages.iter().enumerate() {
             if pending.is_empty() {
@@ -323,9 +209,15 @@ impl CardinalityEstimator for FallbackChain<'_> {
             if let Some((recorder, names)) = names {
                 recorder.add(&names.attempts, pending.len() as u64);
             }
-            let sub: Vec<Query> = pending.iter().map(|&i| queries[i].clone()).collect();
+            // `pending` is an ascending subset of the rows, so equal
+            // length means every row is still pending.
+            let rows = if pending.len() == queries.len() {
+                Cow::Borrowed(queries)
+            } else {
+                Cow::Owned(pending.iter().map(|&i| queries[i].clone()).collect())
+            };
             let started = Instant::now();
-            let outcomes = stage.estimate_batch(&sub);
+            let mut outcomes = stage.estimate_batch(&rows).into_iter();
             if let Some((recorder, names)) = names {
                 let amortized = started.elapsed() / pending.len() as u32;
                 for _ in &pending {
@@ -333,59 +225,101 @@ impl CardinalityEstimator for FallbackChain<'_> {
                 }
             }
             let mut still_pending = Vec::with_capacity(pending.len());
-            // `zip` also absorbs a contract-violating stage that returns
-            // the wrong number of outcomes: rows left over either way
-            // stay unanswered and fall through to the floor.
-            for (&i, outcome) in pending.iter().zip(outcomes) {
-                match outcome {
-                    // Same defense-in-depth re-validation as the
-                    // singleton path: `Ok` is only trusted when finite
-                    // and `>= 1`.
-                    Ok(est) if est.value.is_finite() && est.value >= 1.0 => {
+            for &i in &pending {
+                let kind = match outcomes.next() {
+                    // Defense in depth: an `Ok` is only trusted after
+                    // re-validation — a buggy (or chaos-injected) stage
+                    // may hand back NaN wrapped in `Ok`.
+                    Some(Ok(est)) if est.value.is_finite() && est.value >= 1.0 => {
                         self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
                         if let Some((recorder, names)) = names {
                             recorder.incr(&names.hits);
                         }
-                        results[i] = Some(Estimate {
+                        // Provenance names the *stage* as this chain sees
+                        // it (e.g. `chaos(postgres)`), not whatever label
+                        // the stage put on its own answer — the chain's
+                        // observability story is about its own stages.
+                        answers[i] = Some(Estimate {
                             value: est.value,
                             estimator: stage.name(),
                             fallback_depth: depth,
                         });
+                        continue;
                     }
-                    Ok(_) => {
-                        self.record_error(EstimateErrorKind::NonFinite);
-                        if let Some((recorder, names)) = names {
-                            recorder.incr(&names.errors[EstimateErrorKind::NonFinite.as_index()]);
-                        }
-                        still_pending.push(i);
-                    }
-                    Err(e) => {
-                        self.record_error(e.kind());
-                        if let Some((recorder, names)) = names {
-                            recorder.incr(&names.errors[e.kind().as_index()]);
-                        }
-                        still_pending.push(i);
-                    }
+                    Some(Ok(_)) => EstimateErrorKind::NonFinite,
+                    Some(Err(e)) => e.kind(),
+                    // The stage returned fewer outcomes than it was
+                    // given: each missing row is one failure and stays
+                    // pending for the next stage.
+                    None => EstimateErrorKind::Internal,
+                };
+                self.error_counts[kind.as_index()].fetch_add(1, Ordering::Relaxed);
+                if let Some((recorder, names)) = names {
+                    recorder.incr(&names.errors[kind.as_index()]);
                 }
+                still_pending.push(i);
             }
             pending = still_pending;
         }
-        results
+        answers
+    }
+
+    /// One query, walked as a batch of one.
+    fn estimate_one(&self, query: &Query) -> Estimate {
+        let mut answers = self.walk(std::slice::from_ref(query));
+        self.settle(answers.pop().flatten())
+    }
+
+    /// A row's final estimate: its stage answer, else the floor.
+    fn settle(&self, answer: Option<Estimate>) -> Estimate {
+        answer.unwrap_or_else(|| {
+            let depth = self.stages.len();
+            self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &self.metrics {
+                m.recorder.incr(&m.floor_hits);
+            }
+            Estimate {
+                value: self.floor,
+                estimator: "floor".into(),
+                fallback_depth: depth,
+            }
+        })
+    }
+}
+
+impl CardinalityEstimator for FallbackChain<'_> {
+    fn name(&self) -> String {
+        let mut parts: Vec<String> = self.stages.iter().map(|s| s.name()).collect();
+        parts.push("floor".into());
+        format!("fallback({})", parts.join(" → "))
+    }
+
+    fn estimate(&self, query: &Query) -> f64 {
+        self.estimate_one(query).value
+    }
+
+    /// Never returns `Err`: the constant floor answers when every real
+    /// stage has failed. The `Result` signature is kept so the chain
+    /// composes as a stage of an outer chain.
+    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
+        Ok(self.estimate_one(query))
+    }
+
+    /// Batched chain traversal: each stage sees **one**
+    /// [`estimate_batch`](CardinalityEstimator::estimate_batch) call
+    /// covering every query still unanswered at its depth, so a
+    /// batch-aware first stage (the learned estimator) amortizes its
+    /// featurize-and-forward across the whole batch while only the
+    /// per-row failures are routed down the fallback stages. A row
+    /// answered at depth `d` bumps the same stage-hit and error buckets
+    /// as under [`try_estimate`](CardinalityEstimator::try_estimate).
+    /// Per-stage latency is recorded amortized (call elapsed ÷ rows
+    /// attempted, once per row), so histogram counts match attempts
+    /// while the sum reflects wall time.
+    fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
+        self.walk(queries)
             .into_iter()
-            .map(|slot| match slot {
-                Some(est) => Ok(est),
-                None => {
-                    self.stage_hits[floor_depth].fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &self.metrics {
-                        m.recorder.incr(&m.floor_hits);
-                    }
-                    Ok(Estimate {
-                        value: self.floor,
-                        estimator: "floor".into(),
-                        fallback_depth: floor_depth,
-                    })
-                }
-            })
+            .map(|answer| Ok(self.settle(answer)))
             .collect()
     }
 
@@ -847,6 +781,46 @@ mod tests {
             .histogram("chain.stage1.latency")
             .expect("latency histogram");
         assert_eq!(h.count, 4);
+    }
+
+    /// Breaks the batch contract: answers no rows at all.
+    struct ShortBatch;
+
+    impl CardinalityEstimator for ShortBatch {
+        fn name(&self) -> String {
+            "short".into()
+        }
+
+        fn estimate(&self, _query: &Query) -> f64 {
+            3.0
+        }
+
+        fn estimate_batch(&self, _queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn short_stage_answer_falls_through_per_row() {
+        let chain = FallbackChain::new(vec![
+            Box::new(ShortBatch) as Box<dyn CardinalityEstimator>,
+            Box::new(Constant(5.0)),
+        ]);
+        let mut answers: Vec<Estimate> = chain
+            .estimate_batch(&[q(), q()])
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        answers.push(chain.try_estimate(&q()).unwrap());
+        for e in &answers {
+            assert_eq!((e.value, e.fallback_depth), (5.0, 1), "{e:?}");
+        }
+        let stats = chain.stage_stats();
+        assert_eq!(stats.errors_of("internal"), 3);
+        assert_eq!(
+            (stats.stage_hits.clone(), stats.floor_hits),
+            (vec![0, 3], 0)
+        );
     }
 
     #[test]

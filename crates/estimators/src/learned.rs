@@ -144,22 +144,11 @@ impl LearnedEstimator {
         featurizer: Box<dyn Featurizer + Send + Sync>,
         bytes: &[u8],
     ) -> Result<Self, QfeError> {
-        use qfe_ml::serialize::{fnv1a64, Reader};
+        use qfe_ml::serialize::{checked_payload, Reader};
         let corrupt =
             |what: &str| QfeError::Training(format!("corrupt estimator snapshot: {what}"));
-        if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let frame = SNAPSHOT_MAGIC.len() + 8;
-        if bytes.len() < frame {
-            return Err(corrupt("truncated checksum"));
-        }
-        let c = &bytes[SNAPSHOT_MAGIC.len()..frame];
-        let stored = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        let payload = &bytes[frame..];
-        if fnv1a64(payload) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
+        let payload = checked_payload(bytes, SNAPSHOT_MAGIC)
+            .map_err(|e| QfeError::Training(format!("corrupt estimator snapshot: {e}")))?;
         let mut r = Reader::new(payload);
         let name_len = r.u32().map_err(|_| corrupt("truncated"))? as usize;
         if name_len > 4096 {
@@ -348,11 +337,7 @@ impl CardinalityEstimator for LearnedEstimator {
         payload.extend_from_slice(&log_max.to_le_bytes());
         payload.extend_from_slice(&(model.len() as u32).to_le_bytes());
         payload.extend_from_slice(&model);
-        let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + payload.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&qfe_ml::serialize::fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Some(out)
+        Some(qfe_ml::serialize::frame_payload(SNAPSHOT_MAGIC, &payload))
     }
 }
 

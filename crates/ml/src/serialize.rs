@@ -90,8 +90,8 @@ pub(crate) const MAGIC_MLP: &[u8; 8] = b"QFENN001";
 /// prime is injective per step).
 ///
 /// Public so other crates framing their own checksummed payloads (the
-/// `qfe-store` checkpoint format, the learned-estimator snapshot) reuse
-/// the exact same hash instead of growing a second implementation.
+/// `qfe-store` checkpoint format) reuse the exact same hash instead of
+/// growing a second implementation.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -171,12 +171,7 @@ impl<'a> Reader<'a> {
 
 /// Serialize a trained model; see the module docs for the layout.
 pub fn gbdt_to_bytes(model: &Gbdt) -> Vec<u8> {
-    let payload = model.encode();
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame_payload(MAGIC, &model.encode())
 }
 
 /// Deserialize a model previously produced by [`gbdt_to_bytes`].
@@ -186,25 +181,20 @@ pub fn gbdt_to_bytes(model: &Gbdt) -> Vec<u8> {
 /// single-bit flip, trailing garbage — returns a typed [`DecodeError`];
 /// this function never panics and never returns a silently-wrong model.
 pub fn gbdt_from_bytes(bytes: &[u8]) -> Result<Gbdt, DecodeError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let frame = MAGIC.len() + 8;
-    if bytes.len() < frame {
-        return Err(DecodeError::Truncated);
-    }
-    let c = &bytes[MAGIC.len()..frame];
-    let stored = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-    let payload = &bytes[frame..];
-    if fnv1a64(payload) != stored {
-        return Err(DecodeError::ChecksumMismatch);
-    }
-    Gbdt::decode(payload)
+    Gbdt::decode(checked_payload(bytes, MAGIC)?)
 }
 
 /// Split a `magic + checksum + payload` frame, verifying the magic and
-/// the FNV-1a checksum. Returns the verified payload.
-fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], DecodeError> {
+/// the FNV-1a-64 checksum. Returns the verified payload.
+///
+/// Public so other crates framing their own checksummed payloads (the
+/// learned-estimator snapshot) share this frame instead of re-parsing it.
+///
+/// # Errors
+/// [`DecodeError::BadMagic`] on a wrong or short header,
+/// [`DecodeError::Truncated`] when the checksum is cut off, and
+/// [`DecodeError::ChecksumMismatch`] when the payload does not match it.
+pub fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], DecodeError> {
     if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
         return Err(DecodeError::BadMagic);
     }
@@ -221,8 +211,9 @@ fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], Dec
     Ok(payload)
 }
 
-/// Wrap a payload in the standard `magic + FNV-1a checksum` frame.
-fn frame_payload(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+/// Wrap a payload in the standard `magic + FNV-1a-64 checksum` frame
+/// that [`checked_payload`] verifies.
+pub fn frame_payload(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(magic.len() + 8 + payload.len());
     out.extend_from_slice(magic);
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());

@@ -27,6 +27,7 @@
 //! constant floor) or a typed [`ServeError`] — never a panic, never NaN,
 //! under any interleaving of failures.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
@@ -112,28 +113,14 @@ pub const BATCH_SIZE_METRIC: &str = "serve.batch.size";
 /// runs inline (still panic-isolated) instead of on a watchdog thread.
 const INLINE_BUDGET: Duration = Duration::from_secs(60 * 60);
 
-/// How one stage call ended, from the service's point of view.
+/// How one stage call over a batch of rows ended.
 enum Outcome {
-    /// A valid (finite, `>= 1`) estimate.
-    Answer(f64),
-    /// A typed failure (including an `Ok` wrapping an illegal value,
-    /// which the service converts to `NonFinite`).
-    Fail(EstimateErrorKind),
-    /// The stage did not answer within its share of the budget and was
-    /// abandoned (the call may still be running on its watchdog thread).
-    Timeout,
-    /// The stage panicked; the panic was contained.
-    Panicked,
-}
-
-/// How one *batched* stage call ended. Mirrors [`Outcome`] with per-row
-/// results in the success case.
-enum BatchOutcome {
     /// The stage returned; rows classify individually.
     Rows(Vec<Result<Estimate, qfe_core::EstimateError>>),
-    /// The whole batched call was abandoned on its budget share.
+    /// The call was abandoned on its budget share (it may still be
+    /// running on its watchdog thread).
     Timeout,
-    /// The stage panicked mid-batch; every pending row falls through.
+    /// The stage panicked; the panic was contained.
     Panicked,
     /// The watchdog thread could not be spawned (resource exhaustion).
     SpawnFailed,
@@ -155,10 +142,6 @@ struct StageSlot {
 }
 
 impl StageSlot {
-    fn record_error(&self, kind: EstimateErrorKind) {
-        self.record_error_n(kind, 1);
-    }
-
     fn record_error_n(&self, kind: EstimateErrorKind, n: u64) {
         self.errors[kind.as_index()].fetch_add(n, Ordering::Relaxed);
     }
@@ -301,6 +284,10 @@ impl EstimatorService {
     /// Returns a finite estimate `>= 1` (with stage provenance, the floor
     /// included as the deepest stage), or a typed [`ServeError`] when the
     /// request was shed or its budget ran out. Never panics, never NaN.
+    ///
+    /// A single request is served as a batch of one: it walks the same
+    /// stage loop as [`estimate_batch_within`](Self::estimate_batch_within),
+    /// without the batch-only counters.
     pub fn estimate_within(
         &self,
         query: &Query,
@@ -309,7 +296,10 @@ impl EstimatorService {
         // End-to-end latency covers everything the caller waited for —
         // admission queueing included — for every outcome, errors too.
         let started = Instant::now();
-        let result = self.estimate_guarded(query, deadline);
+        let result = self.admission.acquire(&deadline).and_then(|_permit| {
+            let (mut answers, tried) = self.walk(std::slice::from_ref(query), deadline);
+            self.settle(answers.pop().flatten(), deadline.expired(), deadline, tried)
+        });
         self.recorder
             .record(REQUEST_LATENCY_METRIC, started.elapsed());
         result
@@ -326,17 +316,17 @@ impl EstimatorService {
     /// The batch is admitted as **one** unit of concurrency and walks the
     /// stage stack once: each stage receives a single
     /// [`estimate_batch`](qfe_core::CardinalityEstimator::estimate_batch)
-    /// call covering every row still unanswered at its depth, under the
-    /// same fair-share budgeting, breaker gating, and panic isolation as
-    /// the singleton path. Per-row failures fall through to the next
-    /// stage individually; rows still unanswered when the stack is
-    /// exhausted get the floor, and rows unanswered at deadline expiry
-    /// get a per-row [`ServeError::DeadlineExceeded`]. An admission
-    /// rejection reports the same [`ServeError`] on every row.
+    /// call covering every row still unanswered at its depth, under
+    /// fair-share budgeting, breaker gating, and panic isolation.
+    /// Per-row failures fall through to the next stage individually; rows
+    /// still unanswered when the stack is exhausted get the floor, and
+    /// rows unanswered at deadline expiry get a per-row
+    /// [`ServeError::DeadlineExceeded`]. An admission rejection reports
+    /// the same [`ServeError`] on every row.
     ///
     /// End-to-end and per-stage latency are recorded amortized (elapsed ÷
-    /// rows, once per row), so histogram counts stay comparable with the
-    /// singleton path; [`BATCH_SIZE_METRIC`] records each drain's size.
+    /// rows, once per row), so histogram counts stay comparable with
+    /// single requests; [`BATCH_SIZE_METRIC`] records each drain's size.
     pub fn estimate_batch_within(
         &self,
         queries: &[Query],
@@ -346,7 +336,24 @@ impl EstimatorService {
             return Vec::new();
         }
         let started = Instant::now();
-        let results = self.estimate_batch_guarded(queries, deadline);
+        let results = match self.admission.acquire(&deadline) {
+            Ok(_permit) => {
+                self.batch_drains.fetch_add(1, Ordering::Relaxed);
+                self.batched_requests
+                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
+                self.recorder.record(
+                    BATCH_SIZE_METRIC,
+                    Duration::from_nanos(queries.len() as u64),
+                );
+                let (answers, tried) = self.walk(queries, deadline);
+                let expired = deadline.expired();
+                answers
+                    .into_iter()
+                    .map(|answer| self.settle(answer, expired, deadline, tried))
+                    .collect()
+            }
+            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
+        };
         let amortized = started.elapsed() / queries.len() as u32;
         for _ in queries {
             self.recorder.record(REQUEST_LATENCY_METRIC, amortized);
@@ -354,140 +361,24 @@ impl EstimatorService {
         results
     }
 
-    fn estimate_batch_guarded(
-        &self,
-        queries: &[Query],
-        deadline: Deadline,
-    ) -> Vec<Result<Estimate, ServeError>> {
-        let _permit = match self.admission.acquire(&deadline) {
-            Ok(p) => p,
-            Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
-        };
-        self.batch_drains.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.recorder.record(
-            BATCH_SIZE_METRIC,
-            Duration::from_nanos(queries.len() as u64),
-        );
-        let mut results: Vec<Option<Estimate>> = vec![None; queries.len()];
+    /// The stage loop, run with an admission permit held: each stage gets
+    /// one call covering the rows still unanswered at its depth. Returns
+    /// each row's stage answer (`None` when no stage answered it) and the
+    /// number of stages invoked.
+    fn walk(&self, queries: &[Query], deadline: Deadline) -> (Vec<Option<Estimate>>, usize) {
+        let mut answers: Vec<Option<Estimate>> = vec![None; queries.len()];
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let mut tried = 0usize;
         for (depth, stage) in self.stages.iter().enumerate() {
             if pending.is_empty() || deadline.expired() {
                 break;
             }
+            let n = pending.len() as u64;
             if !stage.breaker.admit() {
-                // Counter granularity is per request, as in the
-                // singleton path: a skipped stage skips every pending
-                // row.
-                stage
-                    .skipped_open
-                    .fetch_add(pending.len() as u64, Ordering::Relaxed);
-                stage.record_error_n(EstimateErrorKind::CircuitOpen, pending.len() as u64);
-                continue;
-            }
-            tried += 1;
-            let stages_left = (self.stages.len() - depth) as u32;
-            let share = deadline.remaining() / stages_left;
-            let sub: Vec<Query> = pending.iter().map(|&i| queries[i].clone()).collect();
-            let stage_started = Instant::now();
-            let outcome = Self::run_stage_batch(stage, sub, share);
-            let amortized = stage_started.elapsed() / pending.len() as u32;
-            for _ in &pending {
-                self.recorder.record(&stage.latency_metric, amortized);
-            }
-            match outcome {
-                BatchOutcome::Rows(rows) => {
-                    let mut still = Vec::with_capacity(pending.len());
-                    let mut answered_any = false;
-                    // `zip` also absorbs a contract-violating stage that
-                    // returns the wrong number of rows: leftovers stay
-                    // pending and fall through.
-                    for (&i, row) in pending.iter().zip(rows) {
-                        match Self::classify(row) {
-                            Outcome::Answer(value) => {
-                                answered_any = true;
-                                stage.hits.fetch_add(1, Ordering::Relaxed);
-                                self.answered.fetch_add(1, Ordering::Relaxed);
-                                results[i] = Some(Estimate {
-                                    value,
-                                    estimator: stage.name.clone(),
-                                    fallback_depth: depth,
-                                });
-                            }
-                            Outcome::Fail(kind) => {
-                                stage.record_error(kind);
-                                still.push(i);
-                            }
-                            // `classify` never produces these.
-                            Outcome::Timeout | Outcome::Panicked => still.push(i),
-                        }
-                    }
-                    // Breaker at batch granularity: the invocation counts
-                    // as a success if any row got a valid answer, as one
-                    // failure if none did — a drifted model failing whole
-                    // batches trips it on the same schedule as failing
-                    // whole requests.
-                    if answered_any {
-                        stage.breaker.record_success();
-                    } else {
-                        stage.breaker.record_failure();
-                    }
-                    pending = still;
-                }
-                BatchOutcome::Timeout => {
-                    stage.breaker.record_failure();
-                    stage
-                        .timeouts
-                        .fetch_add(pending.len() as u64, Ordering::Relaxed);
-                    stage.record_error_n(EstimateErrorKind::DeadlineExceeded, pending.len() as u64);
-                }
-                BatchOutcome::Panicked => {
-                    stage.breaker.record_failure();
-                    stage
-                        .panics
-                        .fetch_add(pending.len() as u64, Ordering::Relaxed);
-                    stage.record_error_n(EstimateErrorKind::Internal, pending.len() as u64);
-                }
-                BatchOutcome::SpawnFailed => {
-                    stage.breaker.record_failure();
-                    stage.record_error_n(EstimateErrorKind::Internal, pending.len() as u64);
-                }
-            }
-        }
-        let expired = deadline.expired();
-        results
-            .into_iter()
-            .map(|slot| match slot {
-                Some(est) => Ok(est),
-                // Per-row accounting mirrors the singleton path: every
-                // unanswered row is one deadline error or one floor
-                // answer.
-                None if expired => Err(self.give_up(deadline, tried)),
-                None => {
-                    self.answered.fetch_add(1, Ordering::Relaxed);
-                    self.floor_answers.fetch_add(1, Ordering::Relaxed);
-                    Ok(Estimate {
-                        value: self.floor,
-                        estimator: "floor".into(),
-                        fallback_depth: self.stages.len(),
-                    })
-                }
-            })
-            .collect()
-    }
-
-    fn estimate_guarded(&self, query: &Query, deadline: Deadline) -> Result<Estimate, ServeError> {
-        let _permit = self.admission.acquire(&deadline)?;
-        let mut tried = 0usize;
-        for (depth, stage) in self.stages.iter().enumerate() {
-            if deadline.expired() {
-                return Err(self.give_up(deadline, tried));
-            }
-            if !stage.breaker.admit() {
-                stage.skipped_open.fetch_add(1, Ordering::Relaxed);
-                stage.record_error(EstimateErrorKind::CircuitOpen);
+                // Counters are per row: a skipped stage skips every
+                // pending row.
+                stage.skipped_open.fetch_add(n, Ordering::Relaxed);
+                stage.record_error_n(EstimateErrorKind::CircuitOpen, n);
                 continue;
             }
             tried += 1;
@@ -496,69 +387,118 @@ impl EstimatorService {
             // behind (all of it, if the stage fails fast).
             let stages_left = (self.stages.len() - depth) as u32;
             let share = deadline.remaining() / stages_left;
+            // `pending` is an ascending subset of the rows, so equal
+            // length means every row is still pending.
+            let rows = if pending.len() == queries.len() {
+                Cow::Borrowed(queries)
+            } else {
+                Cow::Owned(pending.iter().map(|&i| queries[i].clone()).collect())
+            };
             let stage_started = Instant::now();
-            let outcome = Self::run_stage(stage, query, share);
-            self.recorder
-                .record(&stage.latency_metric, stage_started.elapsed());
+            let outcome = Self::run_stage(stage, rows, share);
+            let amortized = stage_started.elapsed() / pending.len() as u32;
+            for _ in &pending {
+                self.recorder.record(&stage.latency_metric, amortized);
+            }
             match outcome {
-                Outcome::Answer(value) => {
-                    stage.breaker.record_success();
-                    stage.hits.fetch_add(1, Ordering::Relaxed);
-                    self.answered.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Estimate {
-                        value,
-                        estimator: stage.name.clone(),
-                        fallback_depth: depth,
-                    });
-                }
-                Outcome::Fail(kind) => {
-                    stage.breaker.record_failure();
-                    stage.record_error(kind);
+                Outcome::Rows(rows) => {
+                    let mut rows = rows.into_iter();
+                    let mut still = Vec::with_capacity(pending.len());
+                    for &i in &pending {
+                        match Self::classify(rows.next()) {
+                            Ok(value) => {
+                                stage.hits.fetch_add(1, Ordering::Relaxed);
+                                self.answered.fetch_add(1, Ordering::Relaxed);
+                                answers[i] = Some(Estimate {
+                                    value,
+                                    estimator: stage.name.clone(),
+                                    fallback_depth: depth,
+                                });
+                            }
+                            Err(kind) => {
+                                stage.record_error_n(kind, 1);
+                                still.push(i);
+                            }
+                        }
+                    }
+                    // Breaker at call granularity: the call counts as a
+                    // success if any row got a valid answer, as one
+                    // failure if none did — a drifted model failing whole
+                    // batches trips it on the same schedule as failing
+                    // single requests.
+                    if still.len() < pending.len() {
+                        stage.breaker.record_success();
+                    } else {
+                        stage.breaker.record_failure();
+                    }
+                    pending = still;
                 }
                 Outcome::Timeout => {
                     stage.breaker.record_failure();
-                    stage.timeouts.fetch_add(1, Ordering::Relaxed);
-                    stage.record_error(EstimateErrorKind::DeadlineExceeded);
+                    stage.timeouts.fetch_add(n, Ordering::Relaxed);
+                    stage.record_error_n(EstimateErrorKind::DeadlineExceeded, n);
                 }
                 Outcome::Panicked => {
                     stage.breaker.record_failure();
-                    stage.panics.fetch_add(1, Ordering::Relaxed);
-                    stage.record_error(EstimateErrorKind::Internal);
+                    stage.panics.fetch_add(n, Ordering::Relaxed);
+                    stage.record_error_n(EstimateErrorKind::Internal, n);
+                }
+                Outcome::SpawnFailed => {
+                    stage.breaker.record_failure();
+                    stage.record_error_n(EstimateErrorKind::Internal, n);
                 }
             }
         }
-        if deadline.expired() {
-            return Err(self.give_up(deadline, tried));
-        }
-        // Every stage failed or was skipped, within budget: the floor
-        // upholds the "always an estimate" half of the contract.
-        self.answered.fetch_add(1, Ordering::Relaxed);
-        self.floor_answers.fetch_add(1, Ordering::Relaxed);
-        Ok(Estimate {
-            value: self.floor,
-            estimator: "floor".into(),
-            fallback_depth: self.stages.len(),
-        })
+        (answers, tried)
     }
 
-    fn give_up(&self, deadline: Deadline, tried: usize) -> ServeError {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        ServeError::DeadlineExceeded {
-            budget: deadline.budget(),
-            elapsed: deadline.elapsed(),
-            stages_tried: tried,
-            admitted: true,
+    /// One row's final result after [`walk`](Self::walk): its stage
+    /// answer, else a deadline error if the budget had run out when the
+    /// walk ended, else the floor. Every unanswered row is one deadline
+    /// error or one floor answer.
+    fn settle(
+        &self,
+        answer: Option<Estimate>,
+        expired: bool,
+        deadline: Deadline,
+        tried: usize,
+    ) -> Result<Estimate, ServeError> {
+        match answer {
+            Some(est) => Ok(est),
+            None if expired => {
+                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::DeadlineExceeded {
+                    budget: deadline.budget(),
+                    elapsed: deadline.elapsed(),
+                    stages_tried: tried,
+                    admitted: true,
+                })
+            }
+            // Every stage failed or was skipped, within budget: the floor
+            // upholds the "always an estimate" half of the contract.
+            None => {
+                self.answered.fetch_add(1, Ordering::Relaxed);
+                self.floor_answers.fetch_add(1, Ordering::Relaxed);
+                Ok(Estimate {
+                    value: self.floor,
+                    estimator: "floor".into(),
+                    fallback_depth: self.stages.len(),
+                })
+            }
         }
     }
 
-    /// One stage call, panic-isolated and bounded by `share`.
-    fn run_stage(stage: &StageSlot, query: &Query, share: Duration) -> Outcome {
+    /// One stage call over `rows`, panic-isolated and bounded by `share`.
+    /// The whole call shares one watchdog thread and one timeout: a stage
+    /// that stalls is abandoned wholesale and every row of the call falls
+    /// through to the next stage.
+    fn run_stage(stage: &StageSlot, rows: Cow<'_, [Query]>, share: Duration) -> Outcome {
         if share >= INLINE_BUDGET {
             // No meaningful deadline: skip the watchdog thread, keep the
             // panic isolation.
-            let caught = catch_unwind(AssertUnwindSafe(|| stage.est.try_estimate(query)));
+            let caught = catch_unwind(AssertUnwindSafe(|| stage.est.estimate_batch(&rows)));
             return match caught {
-                Ok(result) => Self::classify(result),
+                Ok(rows) => Outcome::Rows(rows),
                 Err(_) => Outcome::Panicked,
             };
         }
@@ -572,67 +512,40 @@ impl EstimatorService {
         // abandoned threads: after `failure_threshold` timeouts the stage
         // stops being invoked at all.
         let est = SharedEstimator::clone(&stage.est);
-        let q = query.clone();
+        let rows = rows.into_owned();
         let (tx, rx) = mpsc::sync_channel(1);
         let spawned = std::thread::Builder::new()
             .name("qfe-serve-stage".into())
             .spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| est.try_estimate(&q)));
+                let caught = catch_unwind(AssertUnwindSafe(|| est.estimate_batch(&rows)));
                 let _ = tx.send(caught);
             });
         if spawned.is_err() {
             // Cannot even spawn (resource exhaustion): count it against
             // the stage and fall through to cheaper fallbacks.
-            return Outcome::Fail(EstimateErrorKind::Internal);
+            return Outcome::SpawnFailed;
         }
         match rx.recv_timeout(share) {
-            Ok(Ok(result)) => Self::classify(result),
+            Ok(Ok(rows)) => Outcome::Rows(rows),
             Ok(Err(_)) => Outcome::Panicked,
             Err(_) => Outcome::Timeout,
         }
     }
 
-    /// One batched stage call, panic-isolated and bounded by `share` —
-    /// the batch analogue of [`run_stage`](Self::run_stage). The whole
-    /// batch shares one watchdog thread and one timeout: a stage that
-    /// stalls mid-batch is abandoned wholesale and every pending row
-    /// falls through to the next stage.
-    fn run_stage_batch(stage: &StageSlot, queries: Vec<Query>, share: Duration) -> BatchOutcome {
-        if share >= INLINE_BUDGET {
-            let caught = catch_unwind(AssertUnwindSafe(|| stage.est.estimate_batch(&queries)));
-            return match caught {
-                Ok(rows) => BatchOutcome::Rows(rows),
-                Err(_) => BatchOutcome::Panicked,
-            };
-        }
-        if share.is_zero() {
-            return BatchOutcome::Timeout;
-        }
-        let est = SharedEstimator::clone(&stage.est);
-        let (tx, rx) = mpsc::sync_channel(1);
-        let spawned = std::thread::Builder::new()
-            .name("qfe-serve-batch-stage".into())
-            .spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| est.estimate_batch(&queries)));
-                let _ = tx.send(caught);
-            });
-        if spawned.is_err() {
-            return BatchOutcome::SpawnFailed;
-        }
-        match rx.recv_timeout(share) {
-            Ok(Ok(rows)) => BatchOutcome::Rows(rows),
-            Ok(Err(_)) => BatchOutcome::Panicked,
-            Err(_) => BatchOutcome::Timeout,
-        }
-    }
-
-    fn classify(result: Result<Estimate, qfe_core::EstimateError>) -> Outcome {
-        match result {
+    /// One row of a stage's answer as a valid value or a failure kind.
+    fn classify(
+        row: Option<Result<Estimate, qfe_core::EstimateError>>,
+    ) -> Result<f64, EstimateErrorKind> {
+        match row {
             // Defense in depth, same as the chain: an Ok is only trusted
             // after re-validation.
-            Ok(est) if est.value.is_finite() && est.value >= 1.0 => Outcome::Answer(est.value),
-            Ok(_) => Outcome::Fail(EstimateErrorKind::NonFinite),
-            Err(e) => Outcome::Fail(e.kind()),
+            Some(Ok(est)) if est.value.is_finite() && est.value >= 1.0 => Ok(est.value),
+            Some(Ok(_)) => Err(EstimateErrorKind::NonFinite),
+            Some(Err(e)) => Err(e.kind()),
+            // The stage returned fewer rows than it was given: each
+            // missing row is one failure and stays pending for the next
+            // stage.
+            None => Err(EstimateErrorKind::Internal),
         }
     }
 
@@ -1284,6 +1197,52 @@ mod tests {
             stats.stages[1].errors[EstimateErrorKind::NonFinite.as_index()].1,
             2
         );
+    }
+
+    /// Breaks the batch contract: answers no rows at all.
+    struct ShortBatch;
+    impl CardinalityEstimator for ShortBatch {
+        fn name(&self) -> String {
+            "short".into()
+        }
+        fn estimate(&self, _q: &Query) -> f64 {
+            3.0
+        }
+        fn estimate_batch(
+            &self,
+            _queries: &[Query],
+        ) -> Vec<Result<Estimate, qfe_core::EstimateError>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn short_stage_answer_falls_through_per_row() {
+        let svc = EstimatorService::new(
+            vec![
+                Arc::new(ShortBatch) as SharedEstimator,
+                Arc::new(Constant(5.0)),
+            ],
+            ServiceConfig {
+                breaker: lenient_breaker(),
+                ..ServiceConfig::default()
+            },
+        );
+        let mut answers: Vec<Estimate> = svc
+            .estimate_batch(&[q(), q()])
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        answers.push(svc.estimate(&q()).unwrap());
+        for e in &answers {
+            assert_eq!((e.value, e.fallback_depth), (5.0, 1), "{e:?}");
+        }
+        let stats = svc.stats();
+        assert_eq!(
+            stats.stages[0].errors[EstimateErrorKind::Internal.as_index()].1,
+            3
+        );
+        assert_eq!((stats.stages[1].hits, stats.floor_answers), (3, 0));
     }
 
     #[test]

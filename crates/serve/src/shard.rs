@@ -7,9 +7,8 @@
 //! module provides:
 //!
 //! - [`ShardKey`] — a 128-bit routing key derived from a tenant name or
-//!   a query's sub-schema (reusing the FNV-1a construction of
-//!   `qfe-core::fingerprint`), so equal tenants/schemas always route
-//!   identically;
+//!   a query's sub-schema (hashed with `qfe-core`'s [`fnv1a_128`]), so
+//!   equal tenants/schemas always route identically;
 //! - [`Shard`] — one tenant's service plus its [`MicroBatcher`] and a
 //!   per-shard admission *quota* (in-flight cap) in front of the
 //!   service's own queue, so a hot tenant sheds at its own gate instead
@@ -35,7 +34,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-use qfe_core::{Deadline, Estimate, Query, SubSchema};
+use qfe_core::{fnv1a_128, Deadline, Estimate, Query, SubSchema};
 use qfe_obs::MetricsSnapshot;
 use qfe_store::{Checkpoint, CheckpointStore, StoreConfig, StoreFs};
 
@@ -44,19 +43,6 @@ use crate::error::ServeError;
 use crate::persist::WarmRestartReport;
 use crate::service::{EstimatorService, ServiceConfig};
 use crate::slot::{ModelSlot, SharedEstimator};
-
-/// 128-bit FNV-1a — the same construction `qfe-core::fingerprint` uses,
-/// applied to routing keys.
-fn fnv128(bytes: impl IntoIterator<Item = u8>) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// A 128-bit routing key identifying a tenant (or a schema a tenant
 /// serves). Keys are derived, never assigned, so every node in a fleet
@@ -67,14 +53,14 @@ pub struct ShardKey(pub u128);
 impl ShardKey {
     /// Key for a named tenant.
     pub fn for_tenant(name: &str) -> Self {
-        ShardKey(fnv128(name.bytes()))
+        ShardKey(fnv1a_128(name.bytes()))
     }
 
     /// Key for a sub-schema: queries over the same table set share a
     /// key regardless of predicates, join order, or table order
     /// (`SubSchema` is sorted + deduplicated on construction).
     pub fn for_sub_schema(schema: &SubSchema) -> Self {
-        ShardKey(fnv128(
+        ShardKey(fnv1a_128(
             schema
                 .tables()
                 .iter()
@@ -577,7 +563,7 @@ impl fmt::Debug for ShardRegistry {
 
 /// Deterministic rendezvous score for (request key, shard key).
 fn rendezvous_score(key: ShardKey, shard: ShardKey) -> u128 {
-    fnv128(key.0.to_le_bytes().into_iter().chain(shard.0.to_le_bytes()))
+    fnv1a_128(key.0.to_le_bytes().into_iter().chain(shard.0.to_le_bytes()))
 }
 
 /// The full error surface of a routed request.
@@ -647,6 +633,26 @@ mod tests {
         let s2 = SubSchema::new(vec![qfe_core::TableId(1), qfe_core::TableId(2)]);
         // Sorted construction ⇒ table order can't split a tenant.
         assert_eq!(ShardKey::for_sub_schema(&s1), ShardKey::for_sub_schema(&s2));
+    }
+
+    #[test]
+    fn routing_keys_are_pinned() {
+        // Every node derives keys independently, so their values are part
+        // of the fleet's wire contract and must never drift.
+        assert_eq!(
+            ShardKey::for_tenant("tenant-a").to_string(),
+            "a87edb4dc1659b91ddb6971f33d1fdcb"
+        );
+        let schema = SubSchema::new(vec![qfe_core::TableId(5), qfe_core::TableId(2)]);
+        assert_eq!(
+            ShardKey::for_sub_schema(&schema).to_string(),
+            "12acca787126d834562895ccefb6726a"
+        );
+        let score = rendezvous_score(
+            ShardKey::for_tenant("tenant-a"),
+            ShardKey::for_tenant("tenant-b"),
+        );
+        assert_eq!(format!("{score:032x}"), "cf9914ab50544173774974f1fe4fadd7");
     }
 
     #[test]

@@ -122,13 +122,15 @@ fn main() {
         let e = chain.try_estimate(q).expect("the chain is total");
         assert!(e.value.is_finite() && e.value >= 1.0, "guarantee broken");
     }
+    let stats = chain.stage_stats();
     println!(
-        "{} queries estimated; stage hits {:?} (last = constant floor)",
+        "{} queries estimated; stage hits {:?}, constant floor {}",
         queries.len(),
-        chain.stage_hits()
+        stats.stage_hits,
+        stats.floor_hits
     );
     println!("stage failures by class:");
-    for (label, count) in chain.error_counts() {
+    for (label, count) in stats.error_counts {
         if count > 0 {
             println!("  {label:<17} {count}");
         }
