@@ -10,7 +10,11 @@
 //! subsets (bushy plans allowed) with a hash-join cost model
 //! `cost(L ⋈ R) = cost(L) + cost(R) + |L| + |R| + |L ⋈ R|`,
 //! where all cardinalities come from the injected
-//! [`CardinalityEstimator`].
+//! [`CardinalityEstimator`]. Its tables are dense vectors indexed by
+//! subset bit mask (`2^n` entries for `n` tables): one cardinality and
+//! one back-pointer (left side, join) per subset. No plan is built until
+//! the end, when the single winning [`JoinPlan`] is assembled from the
+//! back-pointers.
 //!
 //! # Estimation is fallible
 //!
@@ -24,14 +28,17 @@
 //!
 //! # Sub-plan estimate caching
 //!
-//! Estimates are memoized in two scopes, following Hyrise's
+//! Estimates are reused in two scopes, following Hyrise's
 //! `CardinalityEstimationCache` design:
 //!
-//! * **per-call** — always on, always sound: within one `optimize()` call
-//!   every semantically distinct sub-plan is estimated at most once, keyed
-//!   by its canonical [`QueryFingerprint`](qfe_core::fingerprint::QueryFingerprint).
+//! * **per-call** — always on, always sound: the dense per-mask
+//!   cardinality table. The dynamic program visits every connected
+//!   subset once, so within one `optimize()` call each sub-plan is
+//!   estimated exactly once and every later split reads the table.
 //! * **cross-call** — opt-in via [`Optimizer::with_cache`]: an
-//!   [`EstimateCache`] shared across `optimize()` calls (and threads)
+//!   [`EstimateCache`] shared across `optimize()` calls (and threads),
+//!   keyed by the sub-plan's canonical
+//!   [`QueryFingerprint`](qfe_core::fingerprint::QueryFingerprint),
 //!   answers sub-plans seen in earlier queries. Its generation protocol
 //!   invalidates everything when the underlying model hot-swaps.
 //!
@@ -158,10 +165,13 @@ impl From<QfeError> for OptimizeError {
 /// misses`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizeStats {
-    /// Sub-plan estimate requests issued by the dynamic program.
+    /// Sub-plan estimate requests issued by the dynamic program: one per
+    /// connected table subset.
     pub probes: u64,
-    /// Probes answered by the per-call memo (same fingerprint seen earlier
-    /// in this `optimize()` call).
+    /// Probes answered from within this `optimize()` call. Always `0`:
+    /// the dense per-mask table is filled once per connected subset and
+    /// every later use reads it without a probe. Kept so the
+    /// conservation law keeps its shape for readers of these stats.
     pub call_hits: u64,
     /// Probes answered by the shared cross-call [`EstimateCache`].
     pub cross_hits: u64,
@@ -212,15 +222,16 @@ pub struct Optimizer<'a, E: CardinalityEstimator> {
 
 /// Everything about one query the sub-plan loop needs, precomputed once
 /// per `optimize()` call: the canonical form (for O(sub-plan-size)
-/// fingerprints), and per-join / per-predicate membership bit masks so
-/// materializing a sub-query never scans a `Vec<TableId>`.
+/// fingerprints), and per-join / per-predicate membership bits so neither
+/// the split loop nor sub-query materialization ever looks a table up.
 struct SubsetCtx<'q> {
     query: &'q Query,
     canon: CanonicalQuery,
     tables: Vec<TableId>,
-    /// `(left_bit | right_bit, join)` for every join whose sides are both
-    /// known tables; a join belongs to `mask` iff `mask & m == m`.
-    join_masks: Vec<(u32, JoinPredicate)>,
+    /// `(left bit, right bit)` of each join, parallel to `query.joins`: a
+    /// join belongs to `mask` iff both bits are in it, and connects two
+    /// disjoint sides iff one bit is on each.
+    join_bits: Vec<(u32, u32)>,
     /// Bit of each predicate's table (parallel to `query.predicates`);
     /// `0` for predicates on tables outside the accessed set, which no
     /// sub-query includes (mirroring [`subset_query`]).
@@ -228,30 +239,43 @@ struct SubsetCtx<'q> {
 }
 
 impl<'q> SubsetCtx<'q> {
-    fn new(query: &'q Query, tables: Vec<TableId>) -> Self {
-        let index_of: HashMap<TableId, usize> =
-            tables.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let bit = |t: TableId| index_of.get(&t).map_or(0u32, |&i| 1 << i);
-        let join_masks = query
+    /// `tables` must be sorted (as [`Query::sub_schema`] returns them).
+    ///
+    /// # Errors
+    /// [`QfeError::InvalidQuery`] when a join names a table outside
+    /// `tables`.
+    fn new(query: &'q Query, tables: Vec<TableId>) -> Result<Self, QfeError> {
+        let bit = |t: TableId| tables.binary_search(&t).map_or(0u32, |i| 1 << i);
+        let join_bits = query
             .joins
             .iter()
-            .filter_map(|j| {
-                let (l, r) = (bit(j.left.table), bit(j.right.table));
-                (l != 0 && r != 0).then_some((l | r, *j))
+            .map(|j| match (bit(j.left.table), bit(j.right.table)) {
+                (0, _) | (_, 0) => Err(QfeError::InvalidQuery(
+                    "join references table the query does not access".into(),
+                )),
+                bits => Ok(bits),
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let pred_bits = query
             .predicates
             .iter()
             .map(|cp| bit(cp.column.table))
             .collect();
-        SubsetCtx {
+        Ok(SubsetCtx {
             query,
             canon: CanonicalQuery::new(query),
             tables,
-            join_masks,
+            join_bits,
             pred_bits,
-        }
+        })
+    }
+
+    /// Index of the first join with one side in `left` and the other in
+    /// `right`.
+    fn connecting_join(&self, left: u32, right: u32) -> Option<usize> {
+        self.join_bits.iter().position(|&(l, r)| {
+            (l & left != 0 && r & right != 0) || (l & right != 0 && r & left != 0)
+        })
     }
 
     /// Materialize the sub-query for `mask` (only reached on cache
@@ -266,10 +290,12 @@ impl<'q> SubsetCtx<'q> {
                 .map(|(_, &t)| t)
                 .collect(),
             joins: self
-                .join_masks
+                .query
+                .joins
                 .iter()
-                .filter(|(m, _)| mask & m == *m)
-                .map(|(_, j)| *j)
+                .zip(&self.join_bits)
+                .filter(|(_, &(l, r))| mask & l != 0 && mask & r != 0)
+                .map(|(j, _)| *j)
                 .collect(),
             predicates: self
                 .query
@@ -281,6 +307,31 @@ impl<'q> SubsetCtx<'q> {
                 .collect(),
         }
     }
+
+    /// Build the plan for `mask` by following the back-pointers in `best`.
+    fn plan(&self, best: &[Option<Best>], mask: u32) -> JoinPlan {
+        match best[mask as usize] {
+            Some(Best { left: 0, .. }) => {
+                JoinPlan::Scan(self.tables[mask.trailing_zeros() as usize])
+            }
+            Some(Best { left, join, .. }) => JoinPlan::Join {
+                left: Box::new(self.plan(best, left)),
+                right: Box::new(self.plan(best, mask ^ left)),
+                join: self.query.joins[join],
+            },
+            None => unreachable!("back-pointers only name planned subsets"),
+        }
+    }
+}
+
+/// The cheapest plan found for one table subset, as a back-pointer: the
+/// join of the cheapest plans for `left` and `mask ^ left` along
+/// `query.joins[join]`, or a scan when `left` is `0`.
+#[derive(Clone, Copy)]
+struct Best {
+    cost: f64,
+    left: u32,
+    join: usize,
 }
 
 impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
@@ -318,7 +369,8 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
     ///
     /// # Errors
     /// [`OptimizeError::Query`] for malformed queries (no tables, more
-    /// than 20 tables, disconnected join graph);
+    /// than 20 tables, a join naming a table the query does not access,
+    /// disconnected join graph);
     /// [`OptimizeError::Estimate`] when the estimator fails on any
     /// sub-plan — estimation failures abort planning instead of being
     /// silently replaced.
@@ -333,124 +385,113 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
                 QfeError::UnsupportedQuery("optimizer supports at most 20 tables".into()).into(),
             );
         }
-        let ctx = SubsetCtx::new(query, tables);
-        let mut state = CallState::default();
-        let result = self.optimize_inner(&ctx, &mut state, n);
+        let ctx = SubsetCtx::new(query, tables)?;
+        let mut stats = OptimizeStats::default();
+        let result = self.optimize_inner(&ctx, &mut stats);
         self.recorder.set_gauge(
             CACHE_HIT_RATE_PCT,
-            (state.stats.hit_rate() * 100.0).round() as u64,
+            (stats.hit_rate() * 100.0).round() as u64,
         );
         result.map(|(plan, cost, estimated_cardinality)| OptimizedPlan {
             plan,
             cost,
             estimated_cardinality,
-            stats: state.stats,
+            stats,
         })
     }
 
+    /// The dynamic program proper, over dense tables indexed by table
+    /// subset mask: each connected subset is estimated exactly once, and
+    /// its cheapest plan is kept as a [`Best`] back-pointer; the one
+    /// winning [`JoinPlan`] is built at the end.
     fn optimize_inner(
         &self,
         ctx: &SubsetCtx<'_>,
-        state: &mut CallState,
-        n: usize,
+        stats: &mut OptimizeStats,
     ) -> Result<(JoinPlan, f64, f64), OptimizeError> {
-        if n == 1 {
-            let card = self.subset_estimate(ctx, state, 1)?;
-            return Ok((JoinPlan::Scan(ctx.tables[0]), card, card));
-        }
-
+        let n = ctx.tables.len();
         // Adjacency as table-index bit masks.
-        let index_of: HashMap<TableId, usize> = ctx
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
         let mut adjacency = vec![0u32; n];
-        for (m, _) in &ctx.join_masks {
-            let l = m.trailing_zeros() as usize;
-            let r = (31 - m.leading_zeros()) as usize;
-            adjacency[l] |= 1 << r;
-            adjacency[r] |= 1 << l;
+        for &(l, r) in &ctx.join_bits {
+            adjacency[l.trailing_zeros() as usize] |= r;
+            adjacency[r.trailing_zeros() as usize] |= l;
         }
 
         // DP over connected subsets.
         let full = (1u32 << n) - 1;
-        let mut best: HashMap<u32, (f64, JoinPlan)> = HashMap::new();
-        let mut cards: HashMap<u32, f64> = HashMap::new();
-        for (i, &t) in ctx.tables.iter().enumerate() {
+        let mut cards = vec![0.0f64; 1 << n];
+        let mut best: Vec<Option<Best>> = vec![None; 1 << n];
+        for i in 0..n {
             let mask = 1u32 << i;
-            let card = self.subset_estimate(ctx, state, mask)?;
-            cards.insert(mask, card);
-            best.insert(mask, (card, JoinPlan::Scan(t)));
+            let card = self.subset_estimate(ctx, stats, mask)?;
+            cards[mask as usize] = card;
+            best[mask as usize] = Some(Best {
+                cost: card,
+                left: 0,
+                join: 0,
+            });
         }
         for mask in 1..=full {
             if mask.count_ones() < 2 || !subset_connected(mask, &adjacency) {
                 continue;
             }
-            let card = self.subset_estimate(ctx, state, mask)?;
-            cards.insert(mask, card);
-            let mut best_here: Option<(f64, JoinPlan)> = None;
-            // Enumerate proper sub-splits (left = submask containing the
-            // lowest bit to halve the enumeration).
+            let card = self.subset_estimate(ctx, stats, mask)?;
+            cards[mask as usize] = card;
+            let mut best_here: Option<Best> = None;
+            // Enumerate proper sub-splits in descending order of `left`,
+            // keeping only those whose left side holds the lowest bit (to
+            // halve the enumeration): `left = low | sub` for every proper
+            // submask `sub` of the other bits.
             let low = mask & mask.wrapping_neg();
-            let mut left = (mask - 1) & mask;
-            while left != 0 {
+            let rest = mask ^ low;
+            let mut sub = rest;
+            loop {
+                sub = sub.wrapping_sub(1) & rest;
+                let left = low | sub;
                 let right = mask ^ left;
-                if left & low != 0 && best.contains_key(&left) && best.contains_key(&right) {
-                    if let Some(join) = connecting_join(ctx.query, &index_of, left, right) {
-                        let (lc, lp) = &best[&left];
-                        let (rc, rp) = &best[&right];
-                        let cost = lc + rc + cards[&left] + cards[&right] + card;
-                        if best_here.as_ref().is_none_or(|(c, _)| cost < *c) {
-                            best_here = Some((
-                                cost,
-                                JoinPlan::Join {
-                                    left: Box::new(lp.clone()),
-                                    right: Box::new(rp.clone()),
-                                    join,
-                                },
-                            ));
+                if let (Some(lb), Some(rb)) = (best[left as usize], best[right as usize]) {
+                    if let Some(join) = ctx.connecting_join(left, right) {
+                        let cost =
+                            lb.cost + rb.cost + cards[left as usize] + cards[right as usize] + card;
+                        if best_here.is_none_or(|b| cost < b.cost) {
+                            best_here = Some(Best { cost, left, join });
                         }
                     }
                 }
-                left = (left - 1) & mask;
+                if sub == 0 {
+                    break;
+                }
             }
-            if let Some(b) = best_here {
-                best.insert(mask, b);
-            }
+            best[mask as usize] = best_here;
         }
 
-        let (cost, plan) = best.remove(&full).ok_or_else(|| {
+        let cost = best[full as usize].map(|b| b.cost).ok_or_else(|| {
             QfeError::InvalidQuery("join graph does not connect all accessed tables".into())
         })?;
-        Ok((plan, cost, cards[&full]))
+        Ok((ctx.plan(&best, full), cost, cards[full as usize]))
     }
 
     /// Estimated cardinality of the query restricted to the tables in
-    /// `mask`, through both cache scopes (per-call memo, then the shared
-    /// cross-call cache), reaching the estimator only on a double miss.
+    /// `mask`: from the shared cross-call cache when one is installed and
+    /// holds it, from the estimator otherwise.
     fn subset_estimate(
         &self,
         ctx: &SubsetCtx<'_>,
-        state: &mut CallState,
+        stats: &mut OptimizeStats,
         mask: u32,
     ) -> Result<f64, OptimizeError> {
-        state.stats.probes += 1;
-        let fp = ctx.canon.subset_fingerprint(mask);
-        if let Some(&card) = state.per_call.get(&fp.0) {
-            state.stats.call_hits += 1;
-            return Ok(card);
-        }
-        let token = match &self.cache {
-            Some(cache) => match cache.probe(fp) {
-                Probe::Hit(est) => {
-                    state.stats.cross_hits += 1;
-                    state.per_call.insert(fp.0, est.value);
-                    return Ok(est.value);
+        stats.probes += 1;
+        let miss = match &self.cache {
+            Some(cache) => {
+                let fp = ctx.canon.subset_fingerprint(mask);
+                match cache.probe(fp) {
+                    Probe::Hit(est) => {
+                        stats.cross_hits += 1;
+                        return Ok(est.value);
+                    }
+                    Probe::Miss(token) => Some((cache, fp, token)),
                 }
-                Probe::Miss(token) => Some(token),
-            },
+            }
             None => None,
         };
         let sub = ctx.subset_query(mask);
@@ -464,25 +505,17 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
                 });
             }
         };
-        state.stats.misses += 1;
+        stats.misses += 1;
         if est.fell_back() {
-            state.stats.fallbacks += 1;
-            state.stats.max_fallback_depth = state.stats.max_fallback_depth.max(est.fallback_depth);
+            stats.fallbacks += 1;
+            stats.max_fallback_depth = stats.max_fallback_depth.max(est.fallback_depth);
         }
-        if let (Some(cache), Some(token)) = (&self.cache, token) {
-            cache.fill(fp, est.clone(), token);
+        let value = est.value;
+        if let Some((cache, fp, token)) = miss {
+            cache.fill(fp, est, token);
         }
-        state.per_call.insert(fp.0, est.value);
-        Ok(est.value)
+        Ok(value)
     }
-}
-
-/// Per-`optimize()` mutable state: the always-on per-call memo plus the
-/// call's [`OptimizeStats`].
-#[derive(Default)]
-struct CallState {
-    per_call: HashMap<u128, f64>,
-    stats: OptimizeStats,
 }
 
 /// The query restricted to the tables selected by `mask`: their joins and
@@ -530,19 +563,6 @@ fn subset_connected(mask: u32, adjacency: &[u32]) -> bool {
         frontier = next;
     }
     reached == mask
-}
-
-fn connecting_join(
-    query: &Query,
-    index_of: &HashMap<TableId, usize>,
-    left: u32,
-    right: u32,
-) -> Option<JoinPredicate> {
-    query.joins.iter().copied().find(|j| {
-        let l = 1u32 << index_of[&j.left.table];
-        let r = 1u32 << index_of[&j.right.table];
-        (l & left != 0 && r & right != 0) || (l & right != 0 && r & left != 0)
-    })
 }
 
 #[cfg(test)]
@@ -721,6 +741,29 @@ mod tests {
     }
 
     #[test]
+    fn join_on_an_unaccessed_table_is_a_query_error() {
+        // The stray join comes before the connecting one, so the split
+        // loop meets it first.
+        let mut q = chain_query(2);
+        q.joins.insert(
+            0,
+            JoinPredicate {
+                left: ColumnRef::new(TableId(1), ColumnId(0)),
+                right: ColumnRef::new(TableId(9), ColumnId(0)),
+            },
+        );
+        let est = Counting::new();
+        let err = Optimizer::new(&est).optimize(&q).unwrap_err();
+        assert_eq!(
+            err,
+            OptimizeError::Query(QfeError::InvalidQuery(
+                "join references table the query does not access".into()
+            ))
+        );
+        assert_eq!(est.calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn five_table_chain_optimizes() {
         let mut cards = HashMap::new();
         // Any subset estimate defaults to 1.0 via Scripted's fallback.
@@ -771,8 +814,9 @@ mod tests {
         assert_eq!(s.cross_hits, 0);
         // Every miss is exactly one estimator call.
         assert_eq!(est.calls.load(Ordering::Relaxed), s.misses);
-        // The chain query has no predicates, so all sub-plans of equal
-        // shape are distinct (different tables) — every probe misses.
+        // Each connected subset (the 10 runs of a 4-chain) is probed
+        // exactly once, so without a cross-call cache every probe misses.
+        assert_eq!(s.probes, 10);
         assert_eq!(s.call_hits, 0);
     }
 
@@ -798,10 +842,9 @@ mod tests {
 
     #[test]
     fn reordered_predicates_hit_the_cross_call_cache() {
-        // Two predicates on the same column in either order: the sub-plans
-        // for {t0} under both orderings fingerprint identically, so within
-        // one call the estimator is asked once per distinct sub-plan even
-        // without a cross-call cache.
+        // Two predicates on the same column in either order: every
+        // sub-plan fingerprints identically under both orderings, so the
+        // second query is answered from the entries the first one filled.
         use qfe_core::{CmpOp, CompoundPredicate, SimplePredicate};
         let col = ColumnRef::new(TableId(0), ColumnId(1));
         let mut q = chain_query(2);
