@@ -13,7 +13,9 @@ violation before this script ever runs. What this script adds is the
 * structural metrics that must not regress are gated per bin —
   generously, because CI containers vary wildly in cores and load:
     - bench_optimizer: cache hit rate is structural (recurring
-      sub-plans in the suite) and must stay >= 0.90 at any scale;
+      sub-plans in the suite) and must stay >= 0.90 at any scale; the
+      bounded leg's hit rate is printed for the log (the binary itself
+      fails if that leg never evicts or changes a plan);
     - bench_serve_net: correctness counters must be clean and fresh
       loopback throughput must be at least 10% of the committed qps —
       an order-of-magnitude collapse is a serving regression, a slow
@@ -41,9 +43,11 @@ def load_committed(path):
 
 def gate_optimizer(fresh, committed):
     for name, rec in [("committed", committed), ("fresh", fresh)]:
+        bounded = rec.get("bounded_hit_rate")
+        bounded = "n/a" if bounded is None else f"{bounded:.4f}"
         print(
             f"{name:>9}: scale={rec['scale']} hit_rate={rec['hit_rate']:.4f} "
-            f"speedup={rec['speedup']:.2f}x"
+            f"speedup={rec['speedup']:.2f}x bounded_hit_rate={bounded}"
         )
     if fresh["hit_rate"] < 0.90:
         raise SystemExit("optimizer cache hit rate regressed below 90%")

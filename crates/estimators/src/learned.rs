@@ -25,6 +25,8 @@ pub struct LearnedEstimator {
     featurizer: Box<dyn Featurizer + Send + Sync>,
     model: Box<dyn Regressor + Send + Sync>,
     scaler: Option<LogScaler>,
+    /// `"<model> + <QFT>"`, formatted once: every answer carries it.
+    label: String,
     /// Times [`estimate`](CardinalityEstimator::estimate) degraded to the
     /// conservative `1.0` instead of a model prediction. The silent part
     /// of that fallback is the dangerous part — this counter makes it
@@ -40,6 +42,7 @@ impl LearnedEstimator {
         model: Box<dyn Regressor + Send + Sync>,
     ) -> Self {
         LearnedEstimator {
+            label: format!("{} + {}", model.model_name(), featurizer.name()),
             featurizer,
             model,
             scaler: None,
@@ -180,12 +183,9 @@ impl LearnedEstimator {
         }
         let model = qfe_ml::serialize::regressor_from_bytes(model_bytes)
             .map_err(|e| QfeError::Training(format!("corrupt estimator snapshot: {e}")))?;
-        Ok(LearnedEstimator {
-            featurizer,
-            model,
-            scaler: Some(scaler),
-            fallbacks: AtomicU64::new(0),
-        })
+        let mut est = LearnedEstimator::new(featurizer, model);
+        est.scaler = Some(scaler);
+        Ok(est)
     }
 
     /// Featurize + predict a whole batch, choosing the cheapest path the
@@ -218,66 +218,17 @@ impl LearnedEstimator {
         let x = Matrix::from_vec(rows, cols, data);
         (self.model.predict_batch(&x), errors)
     }
-}
 
-impl CardinalityEstimator for LearnedEstimator {
-    fn name(&self) -> String {
-        format!("{} + {}", self.model.model_name(), self.featurizer.name())
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        // The infallible path is defined as "try, and degrade to the most
-        // conservative legal estimate on any typed failure" — same
-        // classification as `try_estimate`, but the degradation is
-        // counted rather than silent.
-        match self.try_estimate(query) {
-            Ok(est) => est.value,
-            Err(_) => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                1.0
-            }
-        }
-    }
-
-    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        let Some(scaler) = &self.scaler else {
-            return Err(EstimateError::Untrained {
-                estimator: self.name(),
-            });
-        };
-        let features = self
-            .featurizer
-            .featurize(query)
-            .map_err(EstimateError::from)?;
-        let value = scaler.inverse(self.model.predict(features.as_slice()));
-        if !value.is_finite() || value < 1.0 {
-            return Err(EstimateError::NonFinite {
-                estimator: self.name(),
-                value,
-            });
-        }
-        Ok(Estimate::primary(value, self.name()))
-    }
-
-    /// One featurization pass into a contiguous arena, one model forward
-    /// over the whole batch — this is the win the batched execution path
-    /// exists for. With a compiled model the arena is the quantized
-    /// [`BinnedFeatureMatrix`] (`u16` bin ids, integer tree traversal);
-    /// otherwise the dense `f32` [`FeatureMatrix`] → [`Matrix`] pipeline
-    /// runs (`batch_predictions` picks per call). Rows
-    /// that fail to featurize stay zero-filled so the arena converts
-    /// without copying; their predictions are computed and discarded,
-    /// which is cheaper than compacting the matrix in the common all-ok
-    /// case. Row-for-row equivalent to
-    /// [`try_estimate`](Self::try_estimate): same errors, bit-identical
-    /// values on both paths.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
+    /// The estimated cardinality of each query, or its typed failure —
+    /// the one body behind every entry point. A single query is a batch
+    /// of one, so it takes the same compiled binned path as a batch.
+    fn values(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
         let Some(scaler) = &self.scaler else {
             return queries
                 .iter()
                 .map(|_| {
                     Err(EstimateError::Untrained {
-                        estimator: self.name(),
+                        estimator: self.label.clone(),
                     })
                 })
                 .collect();
@@ -296,12 +247,66 @@ impl CardinalityEstimator for LearnedEstimator {
                 let value = scaler.inverse(y);
                 if !value.is_finite() || value < 1.0 {
                     return Err(EstimateError::NonFinite {
-                        estimator: self.name(),
+                        estimator: self.label.clone(),
                         value,
                     });
                 }
-                Ok(Estimate::primary(value, self.name()))
+                Ok(value)
             })
+            .collect()
+    }
+
+    /// [`values`](Self::values) of a batch of one.
+    fn value(&self, query: &Query) -> Result<f64, EstimateError> {
+        self.values(std::slice::from_ref(query))
+            .pop()
+            .unwrap_or_else(|| {
+                Err(EstimateError::Internal {
+                    estimator: self.label.clone(),
+                    message: "a batch of one returned no row".into(),
+                })
+            })
+    }
+}
+
+impl CardinalityEstimator for LearnedEstimator {
+    fn name(&self) -> String {
+        self.label.clone()
+    }
+
+    fn estimate(&self, query: &Query) -> f64 {
+        // The infallible path is defined as "try, and degrade to the most
+        // conservative legal estimate on any typed failure" — same
+        // classification as `try_estimate`, but the degradation is
+        // counted rather than silent.
+        self.value(query).unwrap_or_else(|_| {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
+            1.0
+        })
+    }
+
+    /// A batch of one through [`estimate_batch`](Self::estimate_batch)'s
+    /// path: same errors, same bits.
+    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
+        self.value(query)
+            .map(|value| Estimate::primary(value, self.label.as_str()))
+    }
+
+    /// One featurization pass into a contiguous arena, one model forward
+    /// over the whole batch — this is the win the batched execution path
+    /// exists for. With a compiled model the arena is the quantized
+    /// [`BinnedFeatureMatrix`] (`u16` bin ids, integer tree traversal);
+    /// otherwise the dense `f32` [`FeatureMatrix`] → [`Matrix`] pipeline
+    /// runs (`batch_predictions` picks per call). Rows
+    /// that fail to featurize stay zero-filled so the arena converts
+    /// without copying; their predictions are computed and discarded,
+    /// which is cheaper than compacting the matrix in the common all-ok
+    /// case. Per-row errors are typed exactly as
+    /// [`try_estimate`](Self::try_estimate) types them.
+    fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
+        self.values(queries)
+            .into_iter()
+            .map(|r| r.map(|value| Estimate::primary(value, self.label.as_str())))
             .collect()
     }
 
@@ -536,6 +541,90 @@ mod tests {
         assert!(e.value.is_finite() && e.value >= 1.0);
         assert_eq!(e.estimator, "GB + conjunctive");
         assert!(!e.fell_back());
+    }
+
+    /// The formula of the deleted `f32` singleton path.
+    fn singleton_formula(est: &LearnedEstimator, q: &Query) -> f64 {
+        let features = est.featurizer.featurize(q).unwrap();
+        est.scaler
+            .as_ref()
+            .unwrap()
+            .inverse(est.model.predict(features.as_slice()))
+    }
+
+    #[test]
+    fn batch_of_one_reproduces_the_singleton_formula() {
+        let db = db();
+        let est = trained_estimator(&db);
+        assert!(est.model.feature_binner().is_some(), "GB runs binned");
+        for (lo, hi) in [(0, 0), (5, 20), (30, 35), (10, 70), (0, 99), (95, 200)] {
+            let q = range_query(lo, hi);
+            let e = est.try_estimate(&q).unwrap();
+            assert_eq!(
+                e.value.to_bits(),
+                singleton_formula(&est, &q).to_bits(),
+                "({lo},{hi})"
+            );
+            assert_eq!(est.estimate(&q).to_bits(), e.value.to_bits());
+        }
+    }
+
+    /// `Untrained` and `UnsupportedQuery` keep their kinds on the batch
+    /// of one (`try_estimate_classifies_*` below). `NonFinite` cannot
+    /// come out of a trained estimator: the scaler's clamp maps even a
+    /// NaN model output to 1.0, on the deleted formula and on the batch
+    /// of one alike, and no fallback is counted.
+    #[test]
+    fn nan_model_output_answers_one_as_the_singleton_formula_did() {
+        use qfe_ml::chaos::{ChaosRegressor, RegressorFault};
+        let db = db();
+        let space = AttributeSpace::for_table(db.catalog(), TableId(0));
+        let mut nan = LearnedEstimator::new(
+            Box::new(UniversalConjunctionEncoding::new(space, 8).unwrap()),
+            Box::new(ChaosRegressor::new(
+                Gbdt::new(GbdtConfig {
+                    n_trees: 5,
+                    ..GbdtConfig::default()
+                }),
+                RegressorFault::Nan,
+                1.0,
+                3,
+            )),
+        );
+        nan.fit(&label_queries(
+            &db,
+            (0..40).map(|i| range_query(i, i + 10)).collect(),
+        ))
+        .unwrap();
+        let q = range_query(0, 10);
+        assert_eq!(singleton_formula(&nan, &q), 1.0);
+        assert_eq!(nan.try_estimate(&q).unwrap().value, 1.0);
+        assert_eq!(nan.fallback_count(), 0);
+    }
+
+    #[test]
+    fn model_without_a_binner_answers_through_the_f32_batch_path() {
+        use qfe_ml::mlp::{Mlp, MlpConfig};
+        let db = db();
+        let space = AttributeSpace::for_table(db.catalog(), TableId(0));
+        let mut est = LearnedEstimator::new(
+            Box::new(UniversalConjunctionEncoding::new(space, 8).unwrap()),
+            Box::new(Mlp::new(MlpConfig {
+                hidden: vec![8],
+                epochs: 3,
+                ..MlpConfig::default()
+            })),
+        );
+        est.fit(&label_queries(
+            &db,
+            (0..40).map(|i| range_query(i, i + 10)).collect(),
+        ))
+        .unwrap();
+        assert!(est.model.feature_binner().is_none());
+        let q = range_query(5, 20);
+        let e = est.try_estimate(&q).unwrap();
+        assert_eq!(e.estimator, "NN + conjunctive");
+        assert_eq!(e.value.to_bits(), singleton_formula(&est, &q).to_bits());
     }
 
     #[test]

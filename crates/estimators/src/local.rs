@@ -49,19 +49,17 @@ impl SystemRFallback {
             // otherwise the filtered table size is unknown — use the raw
             // row count (uniformity would need stats the local approach
             // does not keep).
-            let single = SubSchema::new(vec![t]);
-            let restricted = qfe_core::Query {
-                tables: vec![t],
-                joins: Vec::new(),
-                predicates: query
-                    .predicates
-                    .iter()
-                    .filter(|cp| cp.column.table == t)
-                    .cloned()
-                    .collect(),
-            };
-            card *= match models.get(&single) {
-                Some(m) => m.estimate(&restricted),
+            card *= match models.get(&SubSchema::new(vec![t])) {
+                Some(m) => m.estimate(&qfe_core::Query {
+                    tables: vec![t],
+                    joins: Vec::new(),
+                    predicates: query
+                        .predicates
+                        .iter()
+                        .filter(|cp| cp.column.table == t)
+                        .cloned()
+                        .collect(),
+                }),
                 None => self.catalog.table(t).row_count as f64,
             };
         }

@@ -26,10 +26,22 @@
 //! against the old model can never be published under the new one, even
 //! when a swap lands between probe and fill.
 //!
-//! Counter contract (the conservation law asserted by `bench_optimizer`):
-//! every probe is exactly one hit or one miss, so
-//! `hits + misses == probes`. Evictions count entries dropped by capacity
-//! sweeps; invalidations count entries dropped by generation changes.
+//! Capacity is bounded by CLOCK (second-chance) eviction. Every entry
+//! carries a reference bit that a hit sets. A fill at capacity advances a
+//! hand around the entries, clearing set bits, and replaces the first
+//! entry whose bit was already clear. Sub-plans that recur across queries
+//! therefore stay cached, while entries filled once and never hit again
+//! are the first to go. A fill of a fingerprint that is already cached
+//! (two optimizers missed it concurrently) overwrites that entry in
+//! place, so no fingerprint is ever held twice.
+//!
+//! Counter contract (the conservation laws asserted by `bench_optimizer`
+//! and the property test below): every probe is exactly one hit or one
+//! miss, so `hits + misses == probes`. Evictions count entries replaced
+//! by the CLOCK hand or dropped by [`EstimateCache::clear`];
+//! invalidations count entries dropped by generation changes. Every
+//! distinct insert leaves the cache by exactly one of those two routes or
+//! is still held, so `inserts == len + evictions + invalidations`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,7 +87,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Probes that found nothing (and were issued a fill token).
     pub misses: u64,
-    /// Entries dropped by capacity sweeps.
+    /// Entries replaced by the CLOCK hand when a fill found the cache
+    /// full, plus entries dropped by [`EstimateCache::clear`].
     pub evictions: u64,
     /// Entries dropped because the model generation moved.
     pub invalidations: u64,
@@ -97,10 +110,49 @@ impl CacheStats {
     }
 }
 
+/// One cached estimate and its CLOCK reference bit.
+struct Slot {
+    fp: u128,
+    estimate: Estimate,
+    /// Set by a hit, cleared by the passing hand.
+    referenced: bool,
+}
+
 struct CacheState {
-    map: HashMap<u128, Estimate>,
+    /// The CLOCK ring: filled in order up to capacity, then replaced in
+    /// place.
+    slots: Vec<Slot>,
+    /// Fingerprint → index into `slots`.
+    index: HashMap<u128, usize>,
+    /// Next slot the CLOCK hand examines.
+    hand: usize,
     /// Generation the cached entries were produced under.
     generation: u64,
+}
+
+impl CacheState {
+    /// Drop every entry; returns how many there were.
+    fn drain(&mut self) -> u64 {
+        let dropped = self.slots.len() as u64;
+        self.slots.clear();
+        self.index.clear();
+        self.hand = 0;
+        dropped
+    }
+
+    /// Index of the slot the CLOCK hand replaces: the first one, from the
+    /// hand onwards, whose reference bit is clear. Bits passed on the way
+    /// are cleared, so a full lap finds one.
+    fn victim(&mut self) -> usize {
+        loop {
+            let i = self.hand;
+            self.hand = (i + 1) % self.slots.len();
+            let slot = &mut self.slots[i];
+            if !std::mem::take(&mut slot.referenced) {
+                return i;
+            }
+        }
+    }
 }
 
 /// Fingerprint-keyed cross-call estimate cache with generation-based
@@ -159,7 +211,9 @@ impl EstimateCache {
         let generation = source.as_ref().map_or(0, |s| s.generation());
         EstimateCache {
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
+                slots: Vec::new(),
+                index: HashMap::new(),
+                hand: 0,
                 generation,
             }),
             capacity: capacity.max(1),
@@ -181,7 +235,7 @@ impl EstimateCache {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().slots.len()
     }
 
     /// True if no entries are cached.
@@ -212,8 +266,7 @@ impl EstimateCache {
         if let Some(source) = &self.source {
             let now = source.generation();
             if now != state.generation {
-                let dropped = state.map.len() as u64;
-                state.map.clear();
+                let dropped = state.drain();
                 state.generation = now;
                 if dropped > 0 {
                     self.invalidations.fetch_add(dropped, Ordering::Relaxed);
@@ -225,13 +278,16 @@ impl EstimateCache {
     }
 
     /// Look up `fp`, invalidating first if the model generation moved.
-    /// Every call is exactly one hit or one miss.
+    /// Every call is exactly one hit or one miss; a hit sets the entry's
+    /// reference bit.
     pub fn probe(&self, fp: QueryFingerprint) -> Probe {
         let mut state = self.lock();
         let generation = self.sync_generation(&mut state);
-        match state.map.get(&fp.0) {
-            Some(est) => {
-                let est = est.clone();
+        match state.index.get(&fp.0).copied() {
+            Some(i) => {
+                let slot = &mut state.slots[i];
+                slot.referenced = true;
+                let est = slot.estimate.clone();
                 drop(state);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.recorder.incr(HIT);
@@ -249,29 +305,43 @@ impl EstimateCache {
     /// Publish the estimate computed for a [`Probe::Miss`]. Rejected
     /// (silently — the cache stays correct, the work is merely lost) if
     /// the generation moved since the probe, so stale estimates never
-    /// enter a fresh cache. At capacity the whole table is swept (epoch
-    /// eviction — sub-plan working sets are small and bookkeeping-free
-    /// sweeps beat per-entry LRU at this size), counted as evictions.
+    /// enter a fresh cache. A fingerprint that is already cached has its
+    /// entry overwritten in place. Otherwise, at capacity, the CLOCK hand
+    /// picks one entry to replace (module docs), counted as one eviction.
+    /// New entries start with their reference bit clear.
     pub fn fill(&self, fp: QueryFingerprint, estimate: Estimate, token: FillToken) {
         let mut state = self.lock();
         let generation = self.sync_generation(&mut state);
         if token.generation != generation {
             return;
         }
-        if state.map.len() >= self.capacity {
-            let dropped = state.map.len() as u64;
-            state.map.clear();
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
-            self.recorder.add(EVICT, dropped);
+        if let Some(&i) = state.index.get(&fp.0) {
+            state.slots[i].estimate = estimate;
+            return;
         }
-        state.map.insert(fp.0, estimate);
+        let slot = Slot {
+            fp: fp.0,
+            estimate,
+            referenced: false,
+        };
+        if state.slots.len() < self.capacity {
+            let i = state.slots.len();
+            state.slots.push(slot);
+            state.index.insert(fp.0, i);
+            return;
+        }
+        let i = state.victim();
+        let old = std::mem::replace(&mut state.slots[i], slot);
+        state.index.remove(&old.fp);
+        state.index.insert(fp.0, i);
+        drop(state);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.recorder.incr(EVICT);
     }
 
     /// Drop every entry unconditionally (counted as evictions).
     pub fn clear(&self) {
-        let mut state = self.lock();
-        let dropped = state.map.len() as u64;
-        state.map.clear();
+        let dropped = self.lock().drain();
         if dropped > 0 {
             self.evictions.fetch_add(dropped, Ordering::Relaxed);
             self.recorder.add(EVICT, dropped);
@@ -357,21 +427,127 @@ mod tests {
         assert_eq!(cache.len(), 0);
     }
 
+    fn fill_after_miss(cache: &EstimateCache, x: u128) {
+        let Probe::Miss(token) = cache.probe(fp(x)) else {
+            panic!("miss expected for {x}");
+        };
+        cache.fill(fp(x), est(x as f64), token);
+    }
+
     #[test]
-    fn capacity_sweep_counts_evictions() {
+    fn clock_gives_hit_entries_a_second_chance() {
         let cache = EstimateCache::with_capacity(2);
-        for i in 0..3 {
-            let Probe::Miss(token) = cache.probe(fp(i)) else {
-                panic!("miss expected");
-            };
-            cache.fill(fp(i), est(1.0), token);
-        }
-        // Third fill swept the first two.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 2);
+        let (a, b, c) = (1, 2, 3);
+        fill_after_miss(&cache, a);
+        fill_after_miss(&cache, b);
+        assert_eq!(cache.probe(fp(a)), Probe::Hit(est(1.0)));
+        // Full: the hand passes `a` (clearing its bit) and replaces `b`.
+        fill_after_miss(&cache, c);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.probe(fp(a)), Probe::Hit(est(1.0)));
+        assert_eq!(cache.probe(fp(c)), Probe::Hit(est(3.0)));
+        assert!(matches!(cache.probe(fp(b)), Probe::Miss(_)));
         cache.clear();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().evictions, 3);
+    }
+
+    #[test]
+    fn duplicate_fill_overwrites_in_place() {
+        let cache = EstimateCache::with_capacity(2);
+        let Probe::Miss(first) = cache.probe(fp(7)) else {
+            panic!("miss expected");
+        };
+        let Probe::Miss(second) = cache.probe(fp(7)) else {
+            panic!("miss expected");
+        };
+        cache.fill(fp(7), est(1.0), first);
+        cache.fill(fp(7), est(2.0), second);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.probe(fp(7)), Probe::Hit(est(2.0)));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Probe, and fill on a miss.
+        ProbeFill(u128),
+        /// Probe only.
+        Probe(u128),
+        /// Probe twice, then fill with both tokens (a raced miss).
+        DuplicateFill(u128),
+        Clear,
+        BumpGeneration,
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..12).prop_map(|x| Op::ProbeFill(x.into())),
+            (0u64..12).prop_map(|x| Op::Probe(x.into())),
+            (0u64..12).prop_map(|x| Op::DuplicateFill(x.into())),
+            Just(Op::Clear),
+            Just(Op::BumpGeneration),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Random operation sequences keep the capacity bound, never hold
+        /// a fingerprint twice, and conserve every counter.
+        #[test]
+        fn clock_cache_keeps_its_invariants(
+            capacity in 1usize..6,
+            ops in proptest::collection::vec(op(), 0..80),
+        ) {
+            let source = Arc::new(Bumpable(Gen::new(0)));
+            let cache = EstimateCache::with_generation_source_and_capacity(source.clone(), capacity);
+            let (mut probes, mut inserts) = (0u64, 0u64);
+            let mut probe = |x: u128| {
+                probes += 1;
+                cache.probe(fp(x))
+            };
+            for op in ops {
+                match op {
+                    Op::ProbeFill(x) => {
+                        if let Probe::Miss(token) = probe(x) {
+                            cache.fill(fp(x), est(x as f64), token);
+                            inserts += 1;
+                        }
+                    }
+                    Op::Probe(x) => {
+                        probe(x);
+                    }
+                    Op::DuplicateFill(x) => {
+                        if let (Probe::Miss(t1), Probe::Miss(t2)) = (probe(x), probe(x)) {
+                            cache.fill(fp(x), est(x as f64), t1);
+                            cache.fill(fp(x), est(x as f64 + 0.5), t2);
+                            inserts += 1;
+                        }
+                    }
+                    Op::Clear => cache.clear(),
+                    Op::BumpGeneration => {
+                        source.0.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                let state = cache.lock();
+                proptest::prop_assert!(state.slots.len() <= capacity);
+                proptest::prop_assert_eq!(state.index.len(), state.slots.len());
+                for (i, slot) in state.slots.iter().enumerate() {
+                    proptest::prop_assert_eq!(state.index.get(&slot.fp), Some(&i));
+                }
+            }
+            // Flush a pending generation bump into the counters.
+            probe(u128::MAX);
+            let s = cache.stats();
+            proptest::prop_assert_eq!(s.hits + s.misses, probes);
+            proptest::prop_assert_eq!(
+                inserts,
+                cache.len() as u64 + s.evictions + s.invalidations
+            );
+        }
     }
 
     #[test]
@@ -388,7 +564,7 @@ mod tests {
         let Probe::Miss(t) = cache.probe(fp(2)) else {
             panic!()
         };
-        cache.fill(fp(2), est(3.0), t); // sweeps fp(1)
+        cache.fill(fp(2), est(3.0), t); // replaces fp(1)
         source.0.store(5, Ordering::Relaxed);
         cache.probe(fp(2)); // invalidates 1 entry, then misses
         assert_eq!(recorder.counter("cache.hit"), 1);

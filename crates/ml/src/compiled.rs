@@ -55,6 +55,9 @@ use crate::matrix::Matrix;
 /// array; clear → they index the split-node array.
 pub const LEAF_BIT: u32 = 1 << 31;
 
+/// Walks the binned kernel keeps in flight at once.
+const LANES: usize = 8;
+
 /// One flattened split node. 12 bytes; the split threshold's f32 value
 /// lives in a parallel array (only the `f32` traversal mode needs it, and
 /// keeping it out of the node makes the binned walk's working set 25%
@@ -254,46 +257,70 @@ impl CompiledGbdt {
     /// [`Self::accumulate_rows`] over a row-major `u16` bin arena
     /// (`input_dim` ids per row) — the all-integer hot path.
     ///
-    /// Rows advance eight abreast (lleaves-style): the tree walk is a
+    /// Eight walks advance abreast (lleaves-style): the tree walk is a
     /// chain of dependent loads, so eight independent cursors hide most
-    /// of each other's latency. Per row the trees still accumulate in
-    /// tree order — the reference order — so the sums stay bit-identical.
+    /// of each other's latency. Full eight-row blocks walk one tree for
+    /// eight rows at a time, trees outermost so one tree's nodes stay hot
+    /// while the blocks stream through. The rows left over — all of them
+    /// in a batch of fewer than eight, such as the optimizer's batch of
+    /// one — walk eight trees at a time for one row instead. Either way
+    /// each row's leaf values are added in tree order — the reference
+    /// order — so the sums stay bit-identical.
     pub fn accumulate_binned(&self, bins: &[u16], base_row: usize, acc: &mut [f32]) {
-        const LANES: usize = 8;
         let cols = self.input_dim;
         let row_of = |j: usize| &bins[(base_row + j) * cols..(base_row + j + 1) * cols];
+        let full = acc.len() - acc.len() % LANES;
+        let (blocks, tail) = acc.split_at_mut(full);
         for &root in &self.roots {
-            let mut blocks = acc.chunks_exact_mut(LANES);
-            let mut j = 0;
-            for block in &mut blocks {
-                let rows: [&[u16]; LANES] = std::array::from_fn(|k| row_of(j + k));
-                let mut r = [root; LANES];
-                loop {
-                    let mut descended = false;
-                    for (c, row) in r.iter_mut().zip(&rows) {
-                        if *c & LEAF_BIT == 0 {
-                            let n = &self.nodes[*c as usize];
-                            *c = if row[n.feature as usize] <= n.threshold_bin {
-                                n.left
-                            } else {
-                                n.right
-                            };
-                            descended = true;
-                        }
-                    }
-                    if !descended {
-                        break;
-                    }
+            for (b, block) in blocks.chunks_exact_mut(LANES).enumerate() {
+                let rows: [&[u16]; LANES] = std::array::from_fn(|k| row_of(b * LANES + k));
+                let leaves = self.walk_abreast([root; LANES], |k| rows[k]);
+                for (a, leaf) in block.iter_mut().zip(leaves) {
+                    *a += leaf;
                 }
-                for (a, c) in block.iter_mut().zip(&r) {
-                    *a += self.leaves[(c & !LEAF_BIT) as usize];
-                }
-                j += LANES;
-            }
-            for (k, a) in blocks.into_remainder().iter_mut().enumerate() {
-                *a += self.walk_binned(root, row_of(j + k));
             }
         }
+        for (k, a) in tail.iter_mut().enumerate() {
+            let row = row_of(full + k);
+            let mut trees = self.roots.chunks_exact(LANES);
+            for roots in &mut trees {
+                let leaves = self.walk_abreast(std::array::from_fn(|t| roots[t]), |_| row);
+                for leaf in leaves {
+                    *a += leaf;
+                }
+            }
+            for &root in trees.remainder() {
+                *a += self.walk_binned(root, row);
+            }
+        }
+    }
+
+    /// Walk [`LANES`] cursors to their leaves at once, lane `k` over the
+    /// binned row `row(k)`; returns the leaf values in lane order.
+    #[inline]
+    fn walk_abreast<'r>(
+        &self,
+        mut cursors: [u32; LANES],
+        row: impl Fn(usize) -> &'r [u16],
+    ) -> [f32; LANES] {
+        loop {
+            let mut descended = false;
+            for (k, c) in cursors.iter_mut().enumerate() {
+                if *c & LEAF_BIT == 0 {
+                    let n = &self.nodes[*c as usize];
+                    *c = if row(k)[n.feature as usize] <= n.threshold_bin {
+                        n.left
+                    } else {
+                        n.right
+                    };
+                    descended = true;
+                }
+            }
+            if !descended {
+                break;
+            }
+        }
+        cursors.map(|c| self.leaves[(c & !LEAF_BIT) as usize])
     }
 
     /// True in-memory footprint of the compiled arrays (what

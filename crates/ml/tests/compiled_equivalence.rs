@@ -78,6 +78,31 @@ fn compiled_gbdt_is_bit_identical_on_training_data() {
 }
 
 #[test]
+fn binned_walk_is_bit_identical_at_every_small_batch_shape() {
+    // Batch sizes 1..=17 cover zero, one and two full eight-row blocks
+    // with every remainder; forests of 1, 7, 8, 9 and 60 trees cover the
+    // eight-trees-abreast walk of remainder rows with no full tree group,
+    // an exact group, a group plus one, and several groups plus four.
+    for trees in [1, 7, 8, 9, 60] {
+        let (gb, x) = trained_gbdt(200, 4, trees, 13);
+        for n in 1..=17 {
+            let rows: Vec<Vec<f32>> = (0..n).map(|r| x.row(r * 11).to_vec()).collect();
+            let px = Matrix::from_rows(&rows);
+            let reference = gb.predict_batch_reference(&px);
+            let via_bins = gb
+                .predict_batch_binned(n, &binned(&gb, &px))
+                .expect("binned path");
+            let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&reference),
+                bits(&via_bins),
+                "{trees} trees, batch of {n}"
+            );
+        }
+    }
+}
+
+#[test]
 fn boundary_values_bin_and_predict_identically() {
     // Probe every split threshold of every feature, plus its adjacent
     // representable floats: the exact values where the reference `v <=
