@@ -27,11 +27,10 @@
 //! so "the learned stage has been open for an hour" is an observable fact
 //! rather than a silent degradation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qfe_obs::Recorder;
+use qfe_obs::{Counter, Recorder};
 
 /// Breaker tuning knobs.
 #[derive(Debug, Clone)]
@@ -84,16 +83,6 @@ pub struct BreakerStats {
 /// Monotonic time source; injectable for deterministic tests.
 type Clock = Arc<dyn Fn() -> Duration + Send + Sync>;
 
-/// A recorder plus precomputed metric names, so emitting a transition
-/// event never allocates on the request path.
-struct BreakerEvents {
-    recorder: Arc<dyn Recorder>,
-    opened: String,
-    probes: String,
-    reclosed: String,
-    rejected: String,
-}
-
 struct Inner {
     state: BreakerState,
     consecutive_failures: u32,
@@ -105,17 +94,16 @@ struct Inner {
 
 /// Thread-safe circuit breaker (see the module docs for the state
 /// machine). The mutex guards only a few words and is held for a handful
-/// of instructions; counters are separate atomics so stats reads never
+/// of instructions; counters are separate handles so stats reads never
 /// contend with the request path.
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     inner: Mutex<Inner>,
     clock: Clock,
-    opened: AtomicU64,
-    probes: AtomicU64,
-    reclosed: AtomicU64,
-    rejected: AtomicU64,
-    events: Option<BreakerEvents>,
+    opened: Counter,
+    probes: Counter,
+    reclosed: Counter,
+    rejected: Counter,
 }
 
 impl CircuitBreaker {
@@ -142,27 +130,25 @@ impl CircuitBreaker {
                 backoff: 0,
             }),
             clock,
-            opened: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            reclosed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            events: None,
+            opened: Counter::new(),
+            probes: Counter::new(),
+            reclosed: Counter::new(),
+            rejected: Counter::new(),
         }
     }
 
-    /// Additionally publish state-transition events to `recorder` as
-    /// counters named `<prefix>.opened`, `<prefix>.probes`,
-    /// `<prefix>.reclosed`, and `<prefix>.rejected`. The names are
-    /// precomputed here so the transition path never allocates. The
-    /// internal [`BreakerStats`] counters keep working either way.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>, prefix: &str) -> Self {
-        self.events = Some(BreakerEvents {
-            recorder,
-            opened: format!("{prefix}.opened"),
-            probes: format!("{prefix}.probes"),
-            reclosed: format!("{prefix}.reclosed"),
-            rejected: format!("{prefix}.rejected"),
-        });
+    /// Register the transition counters with `recorder` as
+    /// `<prefix>.opened`, `<prefix>.probes`, `<prefix>.reclosed`, and
+    /// `<prefix>.rejected` — the same counters [`BreakerStats`] reads.
+    pub fn with_recorder(self, recorder: Arc<dyn Recorder>, prefix: &str) -> Self {
+        for (name, counter) in [
+            ("opened", &self.opened),
+            ("probes", &self.probes),
+            ("reclosed", &self.reclosed),
+            ("rejected", &self.rejected),
+        ] {
+            recorder.register_counter(&format!("{prefix}.{name}"), counter);
+        }
         self
     }
 
@@ -187,26 +173,17 @@ impl CircuitBreaker {
             BreakerState::Open => {
                 if now >= inner.open_until {
                     inner.state = BreakerState::HalfOpen;
-                    self.probes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(ev) = &self.events {
-                        ev.recorder.incr(&ev.probes);
-                    }
+                    self.probes.incr();
                     true
                 } else {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    if let Some(ev) = &self.events {
-                        ev.recorder.incr(&ev.rejected);
-                    }
+                    self.rejected.incr();
                     false
                 }
             }
             // A probe is already in flight; concurrent requests keep
             // falling through until it resolves.
             BreakerState::HalfOpen => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(ev) = &self.events {
-                    ev.recorder.incr(&ev.rejected);
-                }
+                self.rejected.incr();
                 false
             }
         }
@@ -216,10 +193,7 @@ impl CircuitBreaker {
     pub fn record_success(&self) {
         let mut inner = self.lock();
         if inner.state == BreakerState::HalfOpen {
-            self.reclosed.fetch_add(1, Ordering::Relaxed);
-            if let Some(ev) = &self.events {
-                ev.recorder.incr(&ev.reclosed);
-            }
+            self.reclosed.incr();
         }
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
@@ -256,10 +230,7 @@ impl CircuitBreaker {
         inner.state = BreakerState::Open;
         inner.open_until = now.saturating_add(cooldown);
         inner.consecutive_failures = 0;
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        if let Some(ev) = &self.events {
-            ev.recorder.incr(&ev.opened);
-        }
+        self.opened.incr();
     }
 
     /// Current state (racy by nature — for observability, not control
@@ -272,10 +243,10 @@ impl CircuitBreaker {
     pub fn stats(&self) -> BreakerStats {
         BreakerStats {
             state: self.state(),
-            opened: self.opened.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            reclosed: self.reclosed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            opened: self.opened.get(),
+            probes: self.probes.get(),
+            reclosed: self.reclosed.get(),
+            rejected: self.rejected.get(),
         }
     }
 }
@@ -283,7 +254,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as ClockCell;
+    use std::sync::atomic::{AtomicU64 as ClockCell, Ordering};
 
     /// A manually stepped clock: `tick.store(ms)` sets "now".
     fn manual_clock() -> (Arc<ClockCell>, Clock) {

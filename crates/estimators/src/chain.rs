@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use qfe_core::error::{EstimateError, EstimateErrorKind};
 use qfe_core::estimator::{CardinalityEstimator, Estimate};
 use qfe_core::Query;
-use qfe_obs::Recorder;
+use qfe_obs::{Counter, Recorder};
 
 /// One consistent snapshot of a [`FallbackChain`]'s counters.
 ///
@@ -76,22 +76,13 @@ impl ChainStats {
     }
 }
 
-/// Precomputed metric names for one chain stage, so the per-call
+/// Recorder plus the precomputed names of the recorder-only metrics
+/// (per-stage attempt counters and latency histograms), so the per-call
 /// recording path never formats or allocates.
-struct StageMetricNames {
-    attempts: String,
-    hits: String,
-    latency: String,
-    /// One counter name per [`EstimateErrorKind`], indexed by
-    /// [`EstimateErrorKind::as_index`].
-    errors: [String; EstimateErrorKind::COUNT],
-}
-
-/// Recorder plus the precomputed name table for every stage.
 struct ChainMetrics {
     recorder: Arc<dyn Recorder>,
-    stages: Vec<StageMetricNames>,
-    floor_hits: String,
+    /// `(attempts, latency)` metric names, one pair per stage.
+    stages: Vec<(String, String)>,
 }
 
 /// Composes estimators into an ordered fallback sequence with an implicit
@@ -100,9 +91,9 @@ pub struct FallbackChain<'a> {
     stages: Vec<Box<dyn CardinalityEstimator + 'a>>,
     floor: f64,
     /// Hits per stage, plus one trailing slot for the floor.
-    stage_hits: Vec<AtomicU64>,
-    /// Stage failures bucketed by [`EstimateErrorKind`].
-    error_counts: [AtomicU64; EstimateErrorKind::COUNT],
+    stage_hits: Vec<Counter>,
+    /// Failures per stage, bucketed by [`EstimateErrorKind::as_index`].
+    stage_errors: Vec<[Counter; EstimateErrorKind::COUNT]>,
     metrics: Option<ChainMetrics>,
 }
 
@@ -115,37 +106,40 @@ impl<'a> FallbackChain<'a> {
         FallbackChain {
             stages,
             floor: 1.0,
-            stage_hits: (0..=n).map(|_| AtomicU64::new(0)).collect(),
-            error_counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            stage_hits: (0..=n).map(|_| Counter::new()).collect(),
+            stage_errors: (0..n).map(|_| Default::default()).collect(),
             metrics: None,
         }
     }
 
-    /// Additionally publish per-stage attempt/hit/error counters and a
-    /// per-stage latency histogram to `recorder`, under
-    /// `<prefix>.stage<i>.{attempts,hits,latency,errors.<kind>}` plus
-    /// `<prefix>.floor.hits`. All names are precomputed here; the
-    /// per-call recording path never allocates. The internal
-    /// [`ChainStats`] counters keep working either way.
+    /// Register the per-stage hit and error counters with `recorder` as
+    /// `<prefix>.stage<i>.{hits,errors.<kind>}` plus `<prefix>.floor.hits`
+    /// — the counters [`ChainStats`] reads — and additionally publish a
+    /// per-stage attempt counter and latency histogram under
+    /// `<prefix>.stage<i>.{attempts,latency}`. All names are built here;
+    /// the per-call recording path never allocates.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>, prefix: &str) -> Self {
+        for (i, (hits, errors)) in self.stage_hits.iter().zip(&self.stage_errors).enumerate() {
+            recorder.register_counter(&format!("{prefix}.stage{i}.hits"), hits);
+            for kind in EstimateErrorKind::ALL {
+                recorder.register_counter(
+                    &format!("{prefix}.stage{i}.errors.{}", kind.label()),
+                    &errors[kind.as_index()],
+                );
+            }
+        }
+        if let Some(floor) = self.stage_hits.last() {
+            recorder.register_counter(&format!("{prefix}.floor.hits"), floor);
+        }
         let stages = (0..self.stages.len())
-            .map(|i| StageMetricNames {
-                attempts: format!("{prefix}.stage{i}.attempts"),
-                hits: format!("{prefix}.stage{i}.hits"),
-                latency: format!("{prefix}.stage{i}.latency"),
-                errors: std::array::from_fn(|k| {
-                    format!(
-                        "{prefix}.stage{i}.errors.{}",
-                        EstimateErrorKind::ALL[k].label()
-                    )
-                }),
+            .map(|i| {
+                (
+                    format!("{prefix}.stage{i}.attempts"),
+                    format!("{prefix}.stage{i}.latency"),
+                )
             })
             .collect();
-        self.metrics = Some(ChainMetrics {
-            recorder,
-            stages,
-            floor_hits: format!("{prefix}.floor.hits"),
-        });
+        self.metrics = Some(ChainMetrics { recorder, stages });
         self
     }
 
@@ -170,11 +164,7 @@ impl<'a> FallbackChain<'a> {
     /// yields one coherent view instead of counters sampled at different
     /// times.
     pub fn stage_stats(&self) -> ChainStats {
-        let all: Vec<u64> = self
-            .stage_hits
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
+        let all: Vec<u64> = self.stage_hits.iter().map(Counter::get).collect();
         let (stage_hits, floor) = all.split_at(self.stages.len());
         ChainStats {
             stage_hits: stage_hits.to_vec(),
@@ -183,10 +173,8 @@ impl<'a> FallbackChain<'a> {
             error_counts: EstimateErrorKind::ALL
                 .iter()
                 .map(|k| {
-                    (
-                        k.label(),
-                        self.error_counts[k.as_index()].load(Ordering::Relaxed),
-                    )
+                    let per_stage = self.stage_errors.iter().map(|e| e[k.as_index()].get());
+                    (k.label(), per_stage.sum())
                 })
                 .collect(),
         }
@@ -206,8 +194,8 @@ impl<'a> FallbackChain<'a> {
                 .metrics
                 .as_ref()
                 .map(|m| (&m.recorder, &m.stages[depth]));
-            if let Some((recorder, names)) = names {
-                recorder.add(&names.attempts, pending.len() as u64);
+            if let Some((recorder, (attempts, _))) = names {
+                recorder.add(attempts, pending.len() as u64);
             }
             // `pending` is an ascending subset of the rows, so equal
             // length means every row is still pending.
@@ -218,10 +206,10 @@ impl<'a> FallbackChain<'a> {
             };
             let started = Instant::now();
             let mut outcomes = stage.estimate_batch(&rows).into_iter();
-            if let Some((recorder, names)) = names {
+            if let Some((recorder, (_, latency))) = names {
                 let amortized = started.elapsed() / pending.len() as u32;
                 for _ in &pending {
-                    recorder.record(&names.latency, amortized);
+                    recorder.record(latency, amortized);
                 }
             }
             let mut still_pending = Vec::with_capacity(pending.len());
@@ -231,10 +219,7 @@ impl<'a> FallbackChain<'a> {
                     // re-validation — a buggy (or chaos-injected) stage
                     // may hand back NaN wrapped in `Ok`.
                     Some(Ok(est)) if est.value.is_finite() && est.value >= 1.0 => {
-                        self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
-                        if let Some((recorder, names)) = names {
-                            recorder.incr(&names.hits);
-                        }
+                        self.stage_hits[depth].incr();
                         // Provenance names the *stage* as this chain sees
                         // it (e.g. `chaos(postgres)`), not whatever label
                         // the stage put on its own answer — the chain's
@@ -253,10 +238,7 @@ impl<'a> FallbackChain<'a> {
                     // pending for the next stage.
                     None => EstimateErrorKind::Internal,
                 };
-                self.error_counts[kind.as_index()].fetch_add(1, Ordering::Relaxed);
-                if let Some((recorder, names)) = names {
-                    recorder.incr(&names.errors[kind.as_index()]);
-                }
+                self.stage_errors[depth][kind.as_index()].incr();
                 still_pending.push(i);
             }
             pending = still_pending;
@@ -274,10 +256,7 @@ impl<'a> FallbackChain<'a> {
     fn settle(&self, answer: Option<Estimate>) -> Estimate {
         answer.unwrap_or_else(|| {
             let depth = self.stages.len();
-            self.stage_hits[depth].fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.recorder.incr(&m.floor_hits);
-            }
+            self.stage_hits[depth].incr();
             Estimate {
                 value: self.floor,
                 estimator: "floor".into(),

@@ -44,19 +44,11 @@
 //! is still held, so `inserts == len + evictions + invalidations`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use qfe_core::estimator::{Estimate, GenerationSource};
 use qfe_core::fingerprint::QueryFingerprint;
-use qfe_obs::{NoopRecorder, Recorder};
-
-/// Metric names under which the cache reports, precomputed so the hot
-/// path never formats (the convention of the rest of the workspace).
-const HIT: &str = "cache.hit";
-const MISS: &str = "cache.miss";
-const EVICT: &str = "cache.evict";
-const INVALIDATE: &str = "cache.invalidate";
+use qfe_obs::{Counter, Recorder};
 
 /// Default entry bound. A JOB-light-sized workload needs a few hundred
 /// distinct sub-plans; this leaves generous headroom while keeping the
@@ -161,11 +153,10 @@ pub struct EstimateCache {
     state: Mutex<CacheState>,
     capacity: usize,
     source: Option<Arc<dyn GenerationSource>>,
-    recorder: Arc<dyn Recorder>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    invalidations: Counter,
 }
 
 impl std::fmt::Debug for EstimateCache {
@@ -218,18 +209,20 @@ impl EstimateCache {
             }),
             capacity: capacity.max(1),
             source,
-            recorder: Arc::new(NoopRecorder),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
+            evictions: Counter::new(),
+            invalidations: Counter::new(),
         }
     }
 
-    /// Route `cache.{hit,miss,evict,invalidate}` counters to `recorder`
-    /// (builder form; the default sink is a [`NoopRecorder`]).
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
+    /// Register the counters [`stats`](Self::stats) reads with `recorder`
+    /// as `cache.{hit,miss,evict,invalidate}` (builder form).
+    pub fn with_recorder(self, recorder: Arc<dyn Recorder>) -> Self {
+        recorder.register_counter("cache.hit", &self.hits);
+        recorder.register_counter("cache.miss", &self.misses);
+        recorder.register_counter("cache.evict", &self.evictions);
+        recorder.register_counter("cache.invalidate", &self.invalidations);
         self
     }
 
@@ -246,10 +239,10 @@ impl EstimateCache {
     /// Cumulative counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            invalidations: self.invalidations.get(),
         }
     }
 
@@ -269,8 +262,7 @@ impl EstimateCache {
                 let dropped = state.drain();
                 state.generation = now;
                 if dropped > 0 {
-                    self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-                    self.recorder.add(INVALIDATE, dropped);
+                    self.invalidations.add(dropped);
                 }
             }
         }
@@ -289,14 +281,12 @@ impl EstimateCache {
                 slot.referenced = true;
                 let est = slot.estimate.clone();
                 drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.recorder.incr(HIT);
+                self.hits.incr();
                 Probe::Hit(est)
             }
             None => {
                 drop(state);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.recorder.incr(MISS);
+                self.misses.incr();
                 Probe::Miss(FillToken { generation })
             }
         }
@@ -335,16 +325,14 @@ impl EstimateCache {
         state.index.remove(&old.fp);
         state.index.insert(fp.0, i);
         drop(state);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        self.recorder.incr(EVICT);
+        self.evictions.incr();
     }
 
     /// Drop every entry unconditionally (counted as evictions).
     pub fn clear(&self) {
         let dropped = self.lock().drain();
         if dropped > 0 {
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
-            self.recorder.add(EVICT, dropped);
+            self.evictions.add(dropped);
         }
     }
 }
@@ -358,7 +346,7 @@ impl Default for EstimateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as Gen;
+    use std::sync::atomic::{AtomicU64 as Gen, Ordering};
 
     struct Bumpable(Gen);
 

@@ -11,15 +11,20 @@
 //!
 //! The design has three layers:
 //!
-//! * [`Recorder`] — the trait instrumented code talks to. Call sites hold
-//!   precomputed metric names and emit counter increments, latency
-//!   observations, and gauge updates. The [`NoopRecorder`] default makes
-//!   instrumentation cost ~nothing when observability is off (every method
-//!   is an empty body behind a virtual call).
-//! * [`MetricsRecorder`] — the real sink: a name-keyed registry of atomic
-//!   counters, gauges, and [`LatencyHistogram`]s. After a metric's first
-//!   observation the hot path is an uncontended read-lock + atomic ops —
-//!   no allocation, no mutex on the per-observation path.
+//! * [`Counter`] / [`Gauge`] — cloneable handles over one atomic each.
+//!   Components own them, count through them, and read them back for
+//!   their typed `stats()`; attaching a [`Recorder`] registers them by
+//!   name, so each counter exists exactly once.
+//! * [`Recorder`] — the trait instrumented code talks to: handle
+//!   registration, latency observations, and ad-hoc named counters and
+//!   gauges. The [`NoopRecorder`] default makes instrumentation cost
+//!   ~nothing when observability is off (every method is an empty body
+//!   behind a virtual call).
+//! * [`MetricsRecorder`] — the real sink: a name-keyed registry of
+//!   counter and gauge handles and [`LatencyHistogram`]s. After a
+//!   metric's first observation the hot path is an uncontended
+//!   read-lock + atomic ops — no allocation, no mutex on the
+//!   per-observation path.
 //! * [`MetricsSnapshot`] — one coherent copy of every metric, with
 //!   [`MetricsSnapshot::to_json`] (stable: keys sorted, integers only) and
 //!   [`MetricsSnapshot::render_text`] for dashboards, CI artifacts, and
@@ -48,5 +53,5 @@ pub use drift::{PageHinkley, PageHinkleyConfig, PageHinkleyStats};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use observed::ObservedFeaturizer;
 pub use qerror::QErrorWindow;
-pub use recorder::{MetricsRecorder, NoopRecorder, Recorder};
+pub use recorder::{Counter, Gauge, MetricsRecorder, NoopRecorder, Recorder};
 pub use snapshot::MetricsSnapshot;

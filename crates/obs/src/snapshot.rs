@@ -86,8 +86,6 @@ impl MetricsSnapshot {
     }
 
     /// Merge a counter into the snapshot, adding to any existing value.
-    /// Used by components that keep their own atomics (e.g. per-stage
-    /// counters on the service) to fold them into one snapshot.
     pub fn merge_counter(&mut self, name: &str, value: u64) {
         *self.counters.entry(name.to_owned()).or_insert(0) += value;
     }

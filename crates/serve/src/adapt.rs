@@ -33,13 +33,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qfe_core::metrics::q_error;
 use qfe_core::Query;
-use qfe_obs::{PageHinkley, PageHinkleyConfig, Recorder};
+use qfe_obs::{Counter, Gauge, PageHinkley, PageHinkleyConfig, Recorder};
 
 use crate::slot::{ModelSlot, SharedEstimator};
 
@@ -275,42 +275,24 @@ pub struct AdaptStats {
 
 #[derive(Default)]
 struct Counters {
-    feedback_accepted: AtomicU64,
-    reservoir_shed: AtomicU64,
-    drift_suspected: AtomicU64,
-    drift_confirmed: AtomicU64,
-    drift_false_alarm: AtomicU64,
-    retrain_triggered: AtomicU64,
-    retrain_aborted: AtomicU64,
-    retrain_panicked: AtomicU64,
-    shadow_accepted: AtomicU64,
-    shadow_rejected: AtomicU64,
-    shadow_inconclusive: AtomicU64,
-    probation_passed: AtomicU64,
-    probation_rolled_back: AtomicU64,
-    probation_abandoned: AtomicU64,
-}
-
-/// Recorder plus precomputed metric names (built once in
-/// [`AdaptController::set_recorder`]; emitting an event never formats).
-struct AdaptEvents {
-    recorder: Arc<dyn Recorder>,
-    feedback_accepted: String,
-    reservoir_shed: String,
-    reservoir_len: String,
-    state: String,
-    drift_suspected: String,
-    drift_confirmed: String,
-    drift_false_alarm: String,
-    retrain_triggered: String,
-    retrain_aborted: String,
-    retrain_panicked: String,
-    shadow_accepted: String,
-    shadow_rejected: String,
-    shadow_inconclusive: String,
-    probation_passed: String,
-    probation_rolled_back: String,
-    probation_abandoned: String,
+    feedback_accepted: Counter,
+    reservoir_shed: Counter,
+    drift_suspected: Counter,
+    drift_confirmed: Counter,
+    drift_false_alarm: Counter,
+    retrain_triggered: Counter,
+    retrain_aborted: Counter,
+    retrain_panicked: Counter,
+    shadow_accepted: Counter,
+    shadow_rejected: Counter,
+    shadow_inconclusive: Counter,
+    probation_passed: Counter,
+    probation_rolled_back: Counter,
+    probation_abandoned: Counter,
+    /// Gauge: the current [`AdaptPhase`] as its numeric code.
+    state: Gauge,
+    /// Gauge: pairs currently retained in the reservoir.
+    reservoir_len: Gauge,
 }
 
 /// Extra state carried by [`AdaptPhase::Probation`].
@@ -381,7 +363,6 @@ pub struct AdaptController {
     /// coexist without interleaving two retrain attempts.
     step_gate: Mutex<()>,
     counters: Counters,
-    events: RwLock<Option<AdaptEvents>>,
 }
 
 impl AdaptController {
@@ -416,7 +397,6 @@ impl AdaptController {
             cooldown_until: Mutex::new(Duration::ZERO),
             step_gate: Mutex::new(()),
             counters: Counters::default(),
-            events: RwLock::new(None),
             cfg,
             slot,
             trainer,
@@ -424,58 +404,41 @@ impl AdaptController {
         }
     }
 
-    /// Route adaptation lifecycle events to `recorder` under `prefix`
-    /// (`adapt` in production), and the underlying slot's swap events
-    /// under `slot`. Called by
+    /// Register the adaptation counters and gauges with `recorder` under
+    /// `prefix` (`adapt` in production), and the underlying slot's swap
+    /// counters under `slot`. These are the values
+    /// [`stats`](Self::stats) reads. Called by
     /// [`crate::EstimatorService::attach_adaptation`] with the service's
     /// own recorder so everything lands in one [`qfe_obs::MetricsSnapshot`].
     pub fn set_recorder(&self, recorder: Arc<dyn Recorder>, prefix: &str) {
         self.slot.set_recorder(Arc::clone(&recorder), "slot");
-        let events = AdaptEvents {
-            feedback_accepted: format!("{prefix}.feedback.accepted"),
-            reservoir_shed: format!("{prefix}.reservoir.shed"),
-            reservoir_len: format!("{prefix}.reservoir.len"),
-            state: format!("{prefix}.state"),
-            drift_suspected: format!("{prefix}.drift.suspected"),
-            drift_confirmed: format!("{prefix}.drift.confirmed"),
-            drift_false_alarm: format!("{prefix}.drift.false_alarm"),
-            retrain_triggered: format!("{prefix}.retrain.triggered"),
-            retrain_aborted: format!("{prefix}.retrain.aborted"),
-            retrain_panicked: format!("{prefix}.retrain.panicked"),
-            shadow_accepted: format!("{prefix}.shadow.accepted"),
-            shadow_rejected: format!("{prefix}.shadow.rejected"),
-            shadow_inconclusive: format!("{prefix}.shadow.inconclusive"),
-            probation_passed: format!("{prefix}.probation.passed"),
-            probation_rolled_back: format!("{prefix}.probation.rolled_back"),
-            probation_abandoned: format!("{prefix}.probation.abandoned"),
-            recorder,
-        };
-        events
-            .recorder
-            .set_gauge(&events.state, self.phase().gauge());
-        events
-            .recorder
-            .set_gauge(&events.reservoir_len, self.reservoir_len() as u64);
-        match self.events.write() {
-            Ok(mut g) => *g = Some(events),
-            Err(poisoned) => *poisoned.into_inner() = Some(events),
+        let c = &self.counters;
+        for (name, counter) in [
+            ("feedback.accepted", &c.feedback_accepted),
+            ("reservoir.shed", &c.reservoir_shed),
+            ("drift.suspected", &c.drift_suspected),
+            ("drift.confirmed", &c.drift_confirmed),
+            ("drift.false_alarm", &c.drift_false_alarm),
+            ("retrain.triggered", &c.retrain_triggered),
+            ("retrain.aborted", &c.retrain_aborted),
+            ("retrain.panicked", &c.retrain_panicked),
+            ("shadow.accepted", &c.shadow_accepted),
+            ("shadow.rejected", &c.shadow_rejected),
+            ("shadow.inconclusive", &c.shadow_inconclusive),
+            ("probation.passed", &c.probation_passed),
+            ("probation.rolled_back", &c.probation_rolled_back),
+            ("probation.abandoned", &c.probation_abandoned),
+        ] {
+            recorder.register_counter(&format!("{prefix}.{name}"), counter);
         }
-    }
-
-    fn emit<F: Fn(&AdaptEvents)>(&self, f: F) {
-        let guard = match self.events.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(events) = guard.as_ref() {
-            f(events);
-        }
+        recorder.register_gauge(&format!("{prefix}.state"), &c.state);
+        recorder.register_gauge(&format!("{prefix}.reservoir.len"), &c.reservoir_len);
     }
 
     fn set_phase(&self, next: Phase) {
         let kind = next.kind();
         *self.phase.lock().unwrap_or_else(|e| e.into_inner()) = next;
-        self.emit(|ev| ev.recorder.set_gauge(&ev.state, kind.gauge()));
+        self.counters.state.set(kind.gauge());
     }
 
     /// Current state-machine phase.
@@ -496,21 +459,21 @@ impl AdaptController {
         let c = &self.counters;
         AdaptStats {
             phase: self.phase(),
-            feedback_accepted: c.feedback_accepted.load(Ordering::Relaxed),
-            reservoir_shed: c.reservoir_shed.load(Ordering::Relaxed),
+            feedback_accepted: c.feedback_accepted.get(),
+            reservoir_shed: c.reservoir_shed.get(),
             reservoir_len: self.reservoir_len(),
-            drift_suspected: c.drift_suspected.load(Ordering::Relaxed),
-            drift_confirmed: c.drift_confirmed.load(Ordering::Relaxed),
-            drift_false_alarm: c.drift_false_alarm.load(Ordering::Relaxed),
-            retrain_triggered: c.retrain_triggered.load(Ordering::Relaxed),
-            retrain_aborted: c.retrain_aborted.load(Ordering::Relaxed),
-            retrain_panicked: c.retrain_panicked.load(Ordering::Relaxed),
-            shadow_accepted: c.shadow_accepted.load(Ordering::Relaxed),
-            shadow_rejected: c.shadow_rejected.load(Ordering::Relaxed),
-            shadow_inconclusive: c.shadow_inconclusive.load(Ordering::Relaxed),
-            probation_passed: c.probation_passed.load(Ordering::Relaxed),
-            probation_rolled_back: c.probation_rolled_back.load(Ordering::Relaxed),
-            probation_abandoned: c.probation_abandoned.load(Ordering::Relaxed),
+            drift_suspected: c.drift_suspected.get(),
+            drift_confirmed: c.drift_confirmed.get(),
+            drift_false_alarm: c.drift_false_alarm.get(),
+            retrain_triggered: c.retrain_triggered.get(),
+            retrain_aborted: c.retrain_aborted.get(),
+            retrain_panicked: c.retrain_panicked.get(),
+            shadow_accepted: c.shadow_accepted.get(),
+            shadow_rejected: c.shadow_rejected.get(),
+            shadow_inconclusive: c.shadow_inconclusive.get(),
+            probation_passed: c.probation_passed.get(),
+            probation_rolled_back: c.probation_rolled_back.get(),
+            probation_abandoned: c.probation_abandoned.get(),
         }
     }
 
@@ -544,10 +507,7 @@ impl AdaptController {
         // shift keeps the statistic growing past the snapshot; a
         // transient spike stalls it (negative deviations pull the
         // cumulative back down) and is dismissed as a false alarm.
-        self.counters
-            .drift_suspected
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(|ev| ev.recorder.incr(&ev.drift_suspected));
+        self.counters.drift_suspected.incr();
         self.set_phase(Phase::DriftSuspected {
             statistic: stats.statistic,
             samples: stats.samples,
@@ -576,10 +536,7 @@ impl AdaptController {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .reset();
-            self.counters
-                .drift_false_alarm
-                .fetch_add(1, Ordering::Relaxed);
-            self.emit(|ev| ev.recorder.incr(&ev.drift_false_alarm));
+            self.counters.drift_false_alarm.incr();
             self.set_phase(Phase::Stable);
             return StepReport::FalseAlarm;
         }
@@ -593,10 +550,7 @@ impl AdaptController {
             // retrains.
             return StepReport::CoolingDown;
         }
-        self.counters
-            .drift_confirmed
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(|ev| ev.recorder.incr(&ev.drift_confirmed));
+        self.counters.drift_confirmed.incr();
         self.retrain(now)
     }
 
@@ -619,15 +573,9 @@ impl AdaptController {
             report
         };
         let abort = |panicked: bool| {
-            self.counters
-                .retrain_aborted
-                .fetch_add(1, Ordering::Relaxed);
-            self.emit(|ev| ev.recorder.incr(&ev.retrain_aborted));
+            self.counters.retrain_aborted.incr();
             if panicked {
-                self.counters
-                    .retrain_panicked
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.retrain_panicked));
+                self.counters.retrain_panicked.incr();
             }
         };
 
@@ -635,10 +583,7 @@ impl AdaptController {
             let reservoir = self.reservoir.lock().unwrap_or_else(|e| e.into_inner());
             reservoir.iter().cloned().collect()
         };
-        self.counters
-            .retrain_triggered
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(|ev| ev.recorder.incr(&ev.retrain_triggered));
+        self.counters.retrain_triggered.incr();
 
         // Deterministic interleaved split: every k-th pair is holdout,
         // the rest train. Interleaving keeps both halves covering the
@@ -692,17 +637,11 @@ impl AdaptController {
         let (verdict, candidate_median) = self.shadow_score(&live, &candidate, &holdout);
         match verdict {
             ShadowVerdict::Reject => {
-                self.counters
-                    .shadow_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.shadow_rejected));
+                self.counters.shadow_rejected.incr();
                 finish(StepReport::ShadowRejected, Phase::Stable)
             }
             ShadowVerdict::Inconclusive => {
-                self.counters
-                    .shadow_inconclusive
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.shadow_inconclusive));
+                self.counters.shadow_inconclusive.incr();
                 finish(StepReport::ShadowInconclusive, Phase::Stable)
             }
             ShadowVerdict::Accept => {
@@ -712,10 +651,7 @@ impl AdaptController {
                     .try_publish(SharedEstimator::clone(&candidate), &probe)
                 {
                     Ok(generation) => {
-                        self.counters
-                            .shadow_accepted
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.emit(|ev| ev.recorder.incr(&ev.shadow_accepted));
+                        self.counters.shadow_accepted.incr();
                         self.probation_q
                             .lock()
                             .unwrap_or_else(|e| e.into_inner())
@@ -734,10 +670,7 @@ impl AdaptController {
                         // Shadow liked it but the probe gate did not
                         // (e.g. a non-finite answer on a holdout query):
                         // counts as a rejection, live keeps serving.
-                        self.counters
-                            .shadow_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.emit(|ev| ev.recorder.incr(&ev.shadow_rejected));
+                        self.counters.shadow_rejected.incr();
                         finish(StepReport::ShadowRejected, Phase::Stable)
                     }
                 }
@@ -814,43 +747,31 @@ impl AdaptController {
                 }
             }
         };
-        self.emit(|ev| ev.recorder.set_gauge(&ev.state, AdaptPhase::Stable.gauge()));
+        self.counters.state.set(AdaptPhase::Stable.gauge());
         self.detector
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .reset();
         if observed_median <= data.baseline_median * self.cfg.rollback_ratio {
-            self.counters
-                .probation_passed
-                .fetch_add(1, Ordering::Relaxed);
-            self.emit(|ev| ev.recorder.incr(&ev.probation_passed));
+            self.counters.probation_passed.incr();
             return StepReport::ProbationPassed;
         }
         // Regressed. Roll back — unless someone else already swapped,
         // in which case rolling back would clobber *their* model.
         if self.slot.generation() != data.generation {
-            self.counters
-                .probation_abandoned
-                .fetch_add(1, Ordering::Relaxed);
-            self.emit(|ev| ev.recorder.incr(&ev.probation_abandoned));
+            self.counters.probation_abandoned.incr();
             return StepReport::ProbationAbandoned;
         }
         match self.slot.try_rollback(data.pinned, &data.probe) {
             Ok(generation) => {
-                self.counters
-                    .probation_rolled_back
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.probation_rolled_back));
+                self.counters.probation_rolled_back.incr();
                 StepReport::RolledBack { generation }
             }
             Err(_) => {
                 // The pinned model no longer passes its own probe; the
                 // (regressed but functional) candidate is still the
                 // safer thing to serve.
-                self.counters
-                    .probation_abandoned
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.probation_abandoned));
+                self.counters.probation_abandoned.incr();
                 StepReport::ProbationAbandoned
             }
         }
@@ -869,19 +790,12 @@ impl FeedbackSink for AdaptController {
             let mut reservoir = self.reservoir.lock().unwrap_or_else(|e| e.into_inner());
             if reservoir.len() == self.cfg.reservoir_capacity {
                 reservoir.pop_front();
-                self.counters.reservoir_shed.fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.reservoir_shed));
+                self.counters.reservoir_shed.incr();
             }
             reservoir.push_back((query.clone(), truth));
-            let len = reservoir.len() as u64;
+            self.counters.reservoir_len.set(reservoir.len() as u64);
             drop(reservoir);
-            self.counters
-                .feedback_accepted
-                .fetch_add(1, Ordering::Relaxed);
-            self.emit(|ev| {
-                ev.recorder.incr(&ev.feedback_accepted);
-                ev.recorder.set_gauge(&ev.reservoir_len, len);
-            });
+            self.counters.feedback_accepted.incr();
         }
         self.detector
             .lock()
@@ -967,6 +881,7 @@ mod tests {
     use super::*;
     use qfe_core::estimator::CardinalityEstimator;
     use qfe_core::TableId;
+    use std::sync::atomic::AtomicU64;
 
     struct Constant(f64);
     impl CardinalityEstimator for Constant {

@@ -19,12 +19,11 @@
 //! queue slot.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use qfe_core::Deadline;
-use qfe_obs::Recorder;
+use qfe_obs::{Counter, Gauge, Recorder};
 
 use crate::error::{OverloadKind, ServeError, ShedPolicy};
 
@@ -44,14 +43,11 @@ struct Ticket {
     enqueued_at: Instant,
 }
 
-/// Recorder plus precomputed metric names (no allocation on the
-/// admission path).
-struct AdmissionMetrics {
+/// Recorder plus the precomputed time-in-queue histogram name (no
+/// allocation on the admission path).
+struct WaitMetric {
     recorder: Arc<dyn Recorder>,
-    /// Gauge: current queue length, updated on every queue mutation.
-    depth: String,
-    /// Histogram: time spent queued, recorded when a wait resolves.
-    wait: String,
+    name: String,
 }
 
 struct QueueState {
@@ -81,11 +77,13 @@ pub(crate) struct AdmissionQueue {
     capacity: usize,
     policy: ShedPolicy,
     state: Mutex<QueueState>,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    queue_timeouts: AtomicU64,
-    metrics: Option<AdmissionMetrics>,
+    admitted: Counter,
+    rejected: Counter,
+    shed: Counter,
+    queue_timeouts: Counter,
+    /// Current queue length, updated on every queue mutation.
+    depth: Gauge,
+    wait: Option<WaitMetric>,
 }
 
 /// An admitted request's slot; releasing it (on drop) admits the next
@@ -116,37 +114,43 @@ impl AdmissionQueue {
                 running: 0,
                 waiting: VecDeque::new(),
             }),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            queue_timeouts: AtomicU64::new(0),
-            metrics: None,
+            admitted: Counter::new(),
+            rejected: Counter::new(),
+            shed: Counter::new(),
+            queue_timeouts: Counter::new(),
+            depth: Gauge::new(),
+            wait: None,
         }
     }
 
-    /// Additionally publish a queue-depth gauge (`<prefix>.depth`) and a
-    /// time-in-queue histogram (`<prefix>.wait`) to `recorder`. The
-    /// lifetime counters stay on [`AdmissionStats`]; the service merges
-    /// them into its metrics snapshot, so they are deliberately not
-    /// double-recorded here.
+    /// Register the lifetime counters (`<prefix>.{admitted,rejected,shed,
+    /// timeouts}`) and the queue-depth gauge (`<prefix>.depth`) with
+    /// `recorder`, and publish a time-in-queue histogram (`<prefix>.wait`)
+    /// to it.
     pub(crate) fn with_recorder(mut self, recorder: Arc<dyn Recorder>, prefix: &str) -> Self {
-        self.metrics = Some(AdmissionMetrics {
+        for (name, counter) in [
+            ("admitted", &self.admitted),
+            ("rejected", &self.rejected),
+            ("shed", &self.shed),
+            ("timeouts", &self.queue_timeouts),
+        ] {
+            recorder.register_counter(&format!("{prefix}.{name}"), counter);
+        }
+        recorder.register_gauge(&format!("{prefix}.depth"), &self.depth);
+        self.wait = Some(WaitMetric {
             recorder,
-            depth: format!("{prefix}.depth"),
-            wait: format!("{prefix}.wait"),
+            name: format!("{prefix}.wait"),
         });
         self
     }
 
     fn set_depth_gauge(&self, depth: usize) {
-        if let Some(m) = &self.metrics {
-            m.recorder.set_gauge(&m.depth, depth as u64);
-        }
+        self.depth.set(depth as u64);
     }
 
     fn record_wait(&self, ticket: &Ticket) {
-        if let Some(m) = &self.metrics {
-            m.recorder.record(&m.wait, ticket.enqueued_at.elapsed());
+        if let Some(w) = &self.wait {
+            w.recorder.record(&w.name, ticket.enqueued_at.elapsed());
         }
     }
 
@@ -173,13 +177,13 @@ impl AdmissionQueue {
             let mut st = self.lock();
             if st.running < self.max_concurrency {
                 st.running += 1;
-                self.admitted.fetch_add(1, Ordering::Relaxed);
+                self.admitted.incr();
                 return Ok(Permit { queue: self });
             }
             if st.waiting.len() >= self.capacity {
                 match self.policy {
                     ShedPolicy::RejectNew => {
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
+                        self.rejected.incr();
                         return Err(ServeError::Overloaded {
                             kind: OverloadKind::RejectedAtAdmission,
                             policy: self.policy,
@@ -192,7 +196,7 @@ impl AdmissionQueue {
                             self.set_depth_gauge(st.waiting.len());
                             *Self::lock_ticket(&victim) = TicketState::Shed;
                             victim.cv.notify_all();
-                            self.shed.fetch_add(1, Ordering::Relaxed);
+                            self.shed.incr();
                         }
                     }
                 }
@@ -200,7 +204,7 @@ impl AdmissionQueue {
             // A zero-capacity queue under ShedOldest degenerates to
             // rejection: there is no queue to displace anyone from.
             if self.capacity == 0 {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.rejected.incr();
                 return Err(ServeError::Overloaded {
                     kind: OverloadKind::RejectedAtAdmission,
                     policy: self.policy,
@@ -225,7 +229,7 @@ impl AdmissionQueue {
         loop {
             match *state {
                 TicketState::Admitted => {
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
+                    self.admitted.incr();
                     self.record_wait(&ticket);
                     return Ok(Permit { queue: self });
                 }
@@ -252,7 +256,7 @@ impl AdmissionQueue {
                             st.waiting.remove(pos);
                             self.set_depth_gauge(st.waiting.len());
                             drop(st);
-                            self.queue_timeouts.fetch_add(1, Ordering::Relaxed);
+                            self.queue_timeouts.incr();
                             self.record_wait(&ticket);
                             return Err(ServeError::DeadlineExceeded {
                                 budget: deadline.budget(),
@@ -302,10 +306,10 @@ impl AdmissionQueue {
         AdmissionStats {
             running: st.running,
             queued: st.waiting.len(),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            queue_timeouts: self.queue_timeouts.load(Ordering::Relaxed),
+            admitted: self.admitted.get(),
+            rejected: self.rejected.get(),
+            shed: self.shed.get(),
+            queue_timeouts: self.queue_timeouts.get(),
         }
     }
 }
@@ -313,7 +317,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]

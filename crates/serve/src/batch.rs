@@ -26,14 +26,13 @@
 //! policy — the batcher never evicts a parked caller.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qfe_core::estimator::Estimate;
 use qfe_core::{Deadline, Query};
-use qfe_obs::Recorder;
+use qfe_obs::Counter;
 
 use crate::error::{OverloadKind, ServeError, ShedPolicy};
 use crate::service::EstimatorService;
@@ -56,10 +55,10 @@ struct BatcherState {
 struct Shared {
     state: Mutex<BatcherState>,
     cv: Condvar,
-    submitted: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    dispatched: AtomicU64,
+    submitted: Counter,
+    shed: Counter,
+    expired: Counter,
+    dispatched: Counter,
 }
 
 impl Shared {
@@ -126,10 +125,11 @@ impl MicroBatcher {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            submitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
+            submitted: svc.recorder().new_counter("serve.batch.submitted"),
+            shed: svc.recorder().new_counter("serve.batch.shed"),
+            expired: svc.recorder().new_counter("serve.batch.expired"),
+            // No metric name: conservation makes it derivable.
+            dispatched: Counter::new(),
         });
         let workers = (0..workers_n)
             .filter_map(|i| {
@@ -169,16 +169,14 @@ impl MicroBatcher {
     /// was shed (queue full), expired in the queue, or ran out of budget
     /// inside the service.
     pub fn submit_within(&self, query: &Query, deadline: Deadline) -> Result<Estimate, ServeError> {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        self.svc.recorder().incr("serve.batch.submitted");
+        self.shared.submitted.incr();
         let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut st = self.shared.lock();
             if st.shutdown || st.waiting.len() >= self.capacity {
                 let queue_len = st.waiting.len();
                 drop(st);
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.svc.recorder().incr("serve.batch.shed");
+                self.shared.shed.incr();
                 return Err(ServeError::Overloaded {
                     kind: OverloadKind::RejectedAtAdmission,
                     // The batcher always rejects the newcomer — it never
@@ -215,10 +213,10 @@ impl MicroBatcher {
     /// drains, `submitted == shed + expired + dispatched`.
     pub fn stats(&self) -> BatcherStats {
         BatcherStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            dispatched: self.shared.dispatched.load(Ordering::Relaxed),
+            submitted: self.shared.submitted.get(),
+            shed: self.shared.shed.get(),
+            expired: self.shared.expired.get(),
+            dispatched: self.shared.dispatched.get(),
             queued: self.shared.lock().waiting.len(),
         }
     }
@@ -303,8 +301,7 @@ fn worker_loop(
         let mut live = Vec::with_capacity(batch.len());
         for req in batch {
             if req.deadline.expired() {
-                shared.expired.fetch_add(1, Ordering::Relaxed);
-                svc.recorder().incr("serve.batch.expired");
+                shared.expired.incr();
                 let _ = req.tx.send(Err(ServeError::DeadlineExceeded {
                     budget: req.deadline.budget(),
                     elapsed: req.deadline.elapsed(),
@@ -326,9 +323,7 @@ fn worker_loop(
                 batch_deadline = req.deadline;
             }
         }
-        shared
-            .dispatched
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
+        shared.dispatched.add(live.len() as u64);
         let queries: Vec<Query> = live.iter().map(|r| r.query.clone()).collect();
         let results = svc.estimate_batch_within(&queries, batch_deadline);
         let mut results = results.into_iter();

@@ -23,13 +23,13 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qfe_core::Deadline;
-use qfe_obs::MetricsSnapshot;
+use qfe_obs::{Counter, Gauge, MetricsRecorder, MetricsSnapshot};
 
 use crate::proto::{write_frame, ErrCode, Frame, ProtoError, ReadError, MAX_FRAME_LEN};
 use crate::shard::{FleetError, RouteError, ShardError, ShardKey, ShardRegistry};
@@ -101,17 +101,19 @@ struct Inner {
     registry: Arc<ShardRegistry>,
     cfg: NetConfig,
     shutdown: AtomicBool,
-    active: AtomicUsize,
-    accepted: AtomicU64,
-    refused: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    proto_errors: AtomicU64,
-    io_errors: AtomicU64,
-    idle_closed: AtomicU64,
-    requests_ok: AtomicU64,
-    requests_err: AtomicU64,
-    accept_errors: AtomicU64,
+    active: Gauge,
+    accepted: Counter,
+    refused: Counter,
+    frames_in: Counter,
+    frames_out: Counter,
+    proto_errors: Counter,
+    io_errors: Counter,
+    idle_closed: Counter,
+    requests_ok: Counter,
+    requests_err: Counter,
+    accept_errors: Counter,
+    /// The front-door `net.*` counters and gauge, registered once.
+    recorder: MetricsRecorder,
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -143,21 +145,23 @@ impl NetServer {
         } else {
             cfg.acceptors
         };
+        let recorder = MetricsRecorder::new();
         let inner = Arc::new(Inner {
             registry,
             cfg,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            proto_errors: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
-            requests_ok: AtomicU64::new(0),
-            requests_err: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
+            active: recorder.new_gauge("net.active"),
+            accepted: recorder.new_counter("net.accepted"),
+            refused: recorder.new_counter("net.refused"),
+            frames_in: recorder.new_counter("net.frames_in"),
+            frames_out: recorder.new_counter("net.frames_out"),
+            proto_errors: recorder.new_counter("net.proto_errors"),
+            io_errors: recorder.new_counter("net.io_errors"),
+            idle_closed: recorder.new_counter("net.idle_closed"),
+            requests_ok: recorder.new_counter("net.requests_ok"),
+            requests_err: recorder.new_counter("net.requests_err"),
+            accept_errors: recorder.new_counter("net.accept_errors"),
+            recorder,
             handlers: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(acceptors);
@@ -217,7 +221,7 @@ impl NetServer {
         NetStats {
             accepted: i.accepted.load(Ordering::Acquire),
             refused: i.refused.load(Ordering::Acquire),
-            active: i.active.load(Ordering::Acquire),
+            active: i.active.load(Ordering::Acquire) as usize,
             frames_in: i.frames_in.load(Ordering::Acquire),
             frames_out: i.frames_out.load(Ordering::Acquire),
             proto_errors: i.proto_errors.load(Ordering::Acquire),
@@ -233,18 +237,7 @@ impl NetServer {
     /// `shard.*`, `registry.*`) plus front-door `net.*` counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.inner.registry.metrics();
-        let s = self.stats();
-        snap.merge_counter("net.accepted", s.accepted);
-        snap.merge_counter("net.refused", s.refused);
-        snap.merge_counter("net.frames_in", s.frames_in);
-        snap.merge_counter("net.frames_out", s.frames_out);
-        snap.merge_counter("net.proto_errors", s.proto_errors);
-        snap.merge_counter("net.io_errors", s.io_errors);
-        snap.merge_counter("net.idle_closed", s.idle_closed);
-        snap.merge_counter("net.requests_ok", s.requests_ok);
-        snap.merge_counter("net.requests_err", s.requests_err);
-        snap.merge_counter("net.accept_errors", s.accept_errors);
-        snap.gauges.insert("net.active".into(), s.active as u64);
+        snap.merge_prefixed("", &self.inner.recorder.snapshot());
         snap
     }
 
@@ -299,18 +292,22 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 // increment first so two racing accepts can't both
                 // slip under the cap.
                 let prev = inner.active.fetch_add(1, Ordering::AcqRel);
-                if prev >= inner.cfg.max_connections {
+                if prev >= inner.cfg.max_connections as u64 {
                     inner.active.fetch_sub(1, Ordering::AcqRel);
                     inner.refused.fetch_add(1, Ordering::AcqRel);
                     drop(stream);
                     continue;
                 }
-                inner.accepted.fetch_add(1, Ordering::AcqRel);
                 let conn_inner = Arc::clone(&inner);
+                // Counted by the handler itself, so a connection whose
+                // handler never spawns is refused and not also accepted,
+                // and every accepted one is counted before its first
+                // frame is answered.
                 let spawned =
                     std::thread::Builder::new()
                         .name("qfe-conn".into())
                         .spawn(move || {
+                            conn_inner.accepted.fetch_add(1, Ordering::AcqRel);
                             handle_connection(stream, &conn_inner);
                             conn_inner.active.fetch_sub(1, Ordering::AcqRel);
                         });

@@ -24,13 +24,12 @@
 //! one artifact shows the whole durability loop.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use qfe_core::Query;
-use qfe_obs::{NoopRecorder, Recorder};
+use qfe_obs::{Counter, Recorder};
 use qfe_store::{Checkpoint, CheckpointMeta, CheckpointStore, RecoveryReport};
 
 use crate::service::{EstimatorService, ServiceConfig};
@@ -53,10 +52,9 @@ pub struct AsyncCheckpointer {
     store: Arc<CheckpointStore>,
     tx: Mutex<Option<mpsc::SyncSender<Job>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
-    recorder: Mutex<Arc<dyn Recorder>>,
-    enqueued: AtomicU64,
-    dropped: AtomicU64,
-    skipped: AtomicU64,
+    enqueued: Counter,
+    dropped: Counter,
+    skipped: Counter,
 }
 
 impl AsyncCheckpointer {
@@ -80,23 +78,21 @@ impl AsyncCheckpointer {
             store,
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(worker),
-            recorder: Mutex::new(Arc::new(NoopRecorder)),
-            enqueued: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
+            enqueued: Counter::new(),
+            dropped: Counter::new(),
+            skipped: Counter::new(),
         }
     }
 
-    /// Route the checkpointer's own counters (`persist.enqueued`,
-    /// `persist.dropped`, `persist.skipped`) into `recorder`, and the
-    /// underlying store's `persist.*` counters with it.
+    /// Register the checkpointer's own counters (`persist.enqueued`,
+    /// `persist.dropped`, `persist.skipped` — what [`stats`](Self::stats)
+    /// reads) with `recorder`, and route the underlying store's
+    /// `persist.*` counters into it.
     pub fn set_recorder(&self, recorder: Arc<dyn Recorder>) {
-        self.store.set_recorder(Arc::clone(&recorder));
-        *self.recorder.lock().unwrap_or_else(|e| e.into_inner()) = recorder;
-    }
-
-    fn recorder(&self) -> Arc<dyn Recorder> {
-        Arc::clone(&self.recorder.lock().unwrap_or_else(|e| e.into_inner()))
+        recorder.register_counter("persist.enqueued", &self.enqueued);
+        recorder.register_counter("persist.dropped", &self.dropped);
+        recorder.register_counter("persist.skipped", &self.skipped);
+        self.store.set_recorder(recorder);
     }
 
     /// The store this checkpointer writes into.
@@ -106,11 +102,7 @@ impl AsyncCheckpointer {
 
     /// `(enqueued, dropped, skipped)` so far.
     pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.enqueued.load(Ordering::Relaxed),
-            self.dropped.load(Ordering::Relaxed),
-            self.skipped.load(Ordering::Relaxed),
-        )
+        (self.enqueued.get(), self.dropped.get(), self.skipped.get())
     }
 
     /// Queue `model` bytes for persistence. Never blocks: a full queue
@@ -119,19 +111,12 @@ impl AsyncCheckpointer {
         let guard = self.tx.lock().unwrap_or_else(|e| e.into_inner());
         let Some(tx) = guard.as_ref() else {
             // Already shut down: equivalent to a full queue.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.recorder().incr("persist.dropped");
+            self.dropped.incr();
             return;
         };
         match tx.try_send(Job { meta, model }) {
-            Ok(()) => {
-                self.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.recorder().incr("persist.enqueued");
-            }
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.recorder().incr("persist.dropped");
-            }
+            Ok(()) => self.enqueued.incr(),
+            Err(_) => self.dropped.incr(),
         }
     }
 
@@ -164,10 +149,7 @@ impl ModelPersister for AsyncCheckpointer {
     /// [`snapshot_bytes`]: qfe_core::CardinalityEstimator::snapshot_bytes
     fn persist(&self, model: &SharedEstimator, slot_generation: u64) {
         match model.snapshot_bytes() {
-            None => {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                self.recorder().incr("persist.skipped");
-            }
+            None => self.skipped.incr(),
             Some(bytes) => {
                 let meta = CheckpointMeta {
                     kind: model.name(),
@@ -210,8 +192,8 @@ pub struct WarmRestartReport {
 }
 
 impl EstimatorService {
-    /// Route `ckpt`'s `persist.*` counters — and those of the store it
-    /// writes into — into this service's metrics, so saves, drops, GC,
+    /// Register `ckpt`'s `persist.*` counters with this service's
+    /// recorder and route the store's into it too, so saves, drops, GC,
     /// and retries show up in [`metrics`](EstimatorService::metrics)
     /// next to the serving counters.
     pub fn attach_persistence(&self, ckpt: &AsyncCheckpointer) {

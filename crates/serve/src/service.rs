@@ -29,7 +29,6 @@
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -37,7 +36,7 @@ use qfe_core::error::EstimateErrorKind;
 use qfe_core::estimator::Estimate;
 use qfe_core::{Deadline, Query};
 use qfe_estimators::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
-use qfe_obs::{MetricsRecorder, MetricsSnapshot, QErrorWindow, Recorder};
+use qfe_obs::{Counter, MetricsRecorder, MetricsSnapshot, QErrorWindow, Recorder};
 
 use crate::adapt::FeedbackSink;
 use crate::admission::{AdmissionQueue, AdmissionStats};
@@ -132,18 +131,47 @@ struct StageSlot {
     /// stage's label for provenance (the *slot* answered).
     name: String,
     breaker: CircuitBreaker,
-    hits: AtomicU64,
-    timeouts: AtomicU64,
-    panics: AtomicU64,
-    skipped_open: AtomicU64,
-    errors: [AtomicU64; EstimateErrorKind::COUNT],
+    hits: Counter,
+    timeouts: Counter,
+    panics: Counter,
+    skipped_open: Counter,
+    errors: [Counter; EstimateErrorKind::COUNT],
     /// Precomputed `serve.stage<i>.latency` histogram name.
     latency_metric: String,
 }
 
 impl StageSlot {
+    /// Stage `i` over `est`, its counters and breaker registered with
+    /// `recorder` under `serve.stage<i>.`.
+    fn new(
+        i: usize,
+        est: SharedEstimator,
+        breaker: &BreakerConfig,
+        recorder: &Arc<MetricsRecorder>,
+    ) -> Self {
+        let p = format!("serve.stage{i}");
+        let counter = |name: &str| recorder.new_counter(&format!("{p}.{name}"));
+        StageSlot {
+            name: est.name(),
+            breaker: CircuitBreaker::new(breaker.clone()).with_recorder(
+                Arc::clone(recorder) as Arc<dyn Recorder>,
+                &format!("{p}.breaker"),
+            ),
+            est,
+            hits: counter("hits"),
+            timeouts: counter("timeouts"),
+            panics: counter("panics"),
+            skipped_open: counter("skipped_open"),
+            // `ALL` is in `as_index` order.
+            errors: std::array::from_fn(|k| {
+                counter(&format!("errors.{}", EstimateErrorKind::ALL[k].label()))
+            }),
+            latency_metric: format!("{p}.latency"),
+        }
+    }
+
     fn record_error_n(&self, kind: EstimateErrorKind, n: u64) {
-        self.errors[kind.as_index()].fetch_add(n, Ordering::Relaxed);
+        self.errors[kind.as_index()].add(n);
     }
 }
 
@@ -196,14 +224,16 @@ pub struct EstimatorService {
     admission: AdmissionQueue,
     floor: f64,
     default_budget: Duration,
-    answered: AtomicU64,
-    floor_answers: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    batch_drains: AtomicU64,
-    batched_requests: AtomicU64,
+    answered: Counter,
+    floor_answers: Counter,
+    deadline_exceeded: Counter,
+    batch_drains: Counter,
+    batched_requests: Counter,
+    /// Every counter of the service, its stages, breakers, admission
+    /// queue and attached components is registered here.
     recorder: Arc<MetricsRecorder>,
     qerror: QErrorWindow,
-    truth_rejected: AtomicU64,
+    truth_rejected: Counter,
     /// Optional downstream consumer of sanitized (query, truth) pairs —
     /// the adaptation controller. Behind a lock because it is attached
     /// once at wiring time and read rarely (per ground-truth arrival,
@@ -226,20 +256,7 @@ impl EstimatorService {
             stages: stages
                 .into_iter()
                 .enumerate()
-                .map(|(i, est)| StageSlot {
-                    name: est.name(),
-                    breaker: CircuitBreaker::new(cfg.breaker.clone()).with_recorder(
-                        Arc::clone(&recorder) as Arc<dyn Recorder>,
-                        &format!("serve.stage{i}.breaker"),
-                    ),
-                    est,
-                    hits: AtomicU64::new(0),
-                    timeouts: AtomicU64::new(0),
-                    panics: AtomicU64::new(0),
-                    skipped_open: AtomicU64::new(0),
-                    errors: std::array::from_fn(|_| AtomicU64::new(0)),
-                    latency_metric: format!("serve.stage{i}.latency"),
-                })
+                .map(|(i, est)| StageSlot::new(i, est, &cfg.breaker, &recorder))
                 .collect(),
             admission: AdmissionQueue::new(
                 cfg.max_concurrency,
@@ -249,14 +266,14 @@ impl EstimatorService {
             .with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>, "serve.queue"),
             floor,
             default_budget: cfg.default_budget,
-            answered: AtomicU64::new(0),
-            floor_answers: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            batch_drains: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
+            answered: recorder.new_counter("serve.answered"),
+            floor_answers: recorder.new_counter("serve.floor.answers"),
+            deadline_exceeded: recorder.new_counter("serve.deadline_exceeded"),
+            batch_drains: recorder.new_counter("serve.batch.drains"),
+            batched_requests: recorder.new_counter("serve.batched_requests"),
+            truth_rejected: recorder.new_counter("obs.truth.rejected"),
             recorder,
             qerror: QErrorWindow::new(cfg.qerror_window),
-            truth_rejected: AtomicU64::new(0),
             feedback: RwLock::new(None),
             cfg,
         }
@@ -268,8 +285,8 @@ impl EstimatorService {
     }
 
     /// The service's live recorder, for crate-internal components (the
-    /// micro-batcher) that publish their own counters into the same
-    /// snapshot.
+    /// micro-batcher, persistence) that register their own counters into
+    /// the same snapshot.
     pub(crate) fn recorder(&self) -> &Arc<MetricsRecorder> {
         &self.recorder
     }
@@ -338,9 +355,8 @@ impl EstimatorService {
         let started = Instant::now();
         let results = match self.admission.acquire(&deadline) {
             Ok(_permit) => {
-                self.batch_drains.fetch_add(1, Ordering::Relaxed);
-                self.batched_requests
-                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
+                self.batch_drains.incr();
+                self.batched_requests.add(queries.len() as u64);
                 self.recorder.record(
                     BATCH_SIZE_METRIC,
                     Duration::from_nanos(queries.len() as u64),
@@ -377,7 +393,7 @@ impl EstimatorService {
             if !stage.breaker.admit() {
                 // Counters are per row: a skipped stage skips every
                 // pending row.
-                stage.skipped_open.fetch_add(n, Ordering::Relaxed);
+                stage.skipped_open.add(n);
                 stage.record_error_n(EstimateErrorKind::CircuitOpen, n);
                 continue;
             }
@@ -407,8 +423,8 @@ impl EstimatorService {
                     for &i in &pending {
                         match Self::classify(rows.next()) {
                             Ok(value) => {
-                                stage.hits.fetch_add(1, Ordering::Relaxed);
-                                self.answered.fetch_add(1, Ordering::Relaxed);
+                                stage.hits.incr();
+                                self.answered.incr();
                                 answers[i] = Some(Estimate {
                                     value,
                                     estimator: stage.name.clone(),
@@ -435,12 +451,12 @@ impl EstimatorService {
                 }
                 Outcome::Timeout => {
                     stage.breaker.record_failure();
-                    stage.timeouts.fetch_add(n, Ordering::Relaxed);
+                    stage.timeouts.add(n);
                     stage.record_error_n(EstimateErrorKind::DeadlineExceeded, n);
                 }
                 Outcome::Panicked => {
                     stage.breaker.record_failure();
-                    stage.panics.fetch_add(n, Ordering::Relaxed);
+                    stage.panics.add(n);
                     stage.record_error_n(EstimateErrorKind::Internal, n);
                 }
                 Outcome::SpawnFailed => {
@@ -466,7 +482,7 @@ impl EstimatorService {
         match answer {
             Some(est) => Ok(est),
             None if expired => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                self.deadline_exceeded.incr();
                 Err(ServeError::DeadlineExceeded {
                     budget: deadline.budget(),
                     elapsed: deadline.elapsed(),
@@ -477,8 +493,8 @@ impl EstimatorService {
             // Every stage failed or was skipped, within budget: the floor
             // upholds the "always an estimate" half of the contract.
             None => {
-                self.answered.fetch_add(1, Ordering::Relaxed);
-                self.floor_answers.fetch_add(1, Ordering::Relaxed);
+                self.answered.incr();
+                self.floor_answers.incr();
                 Ok(Estimate {
                     value: self.floor,
                     estimator: "floor".into(),
@@ -569,7 +585,7 @@ impl EstimatorService {
     /// [`metrics`](Self::metrics).
     pub fn observe_truth(&self, truth: f64, estimate: f64) -> Result<(), FeedbackError> {
         if let Err(e) = Self::validate_truth(truth, estimate) {
-            self.truth_rejected.fetch_add(1, Ordering::Relaxed);
+            self.truth_rejected.incr();
             return Err(e);
         }
         self.qerror.observe(truth, estimate);
@@ -602,9 +618,10 @@ impl EstimatorService {
     /// Wire an adaptation controller into this service in one call: the
     /// controller becomes the feedback sink for
     /// [`observe_labeled`](Self::observe_labeled), and its `adapt.*`
-    /// lifecycle metrics (plus the underlying slot's `slot.*` swap
-    /// events) are routed into this service's recorder, so
-    /// [`metrics`](Self::metrics) shows the whole control loop.
+    /// counters and gauges (plus the underlying slot's `slot.*` ones) are
+    /// registered with this service's recorder, so
+    /// [`metrics`](Self::metrics) shows the whole control loop. They
+    /// report totals since the controller and slot were constructed.
     pub fn attach_adaptation(&self, controller: &Arc<crate::adapt::AdaptController>) {
         controller.set_recorder(Arc::clone(&self.recorder) as Arc<dyn Recorder>, "adapt");
         self.attach_feedback(Arc::clone(controller) as Arc<dyn FeedbackSink>);
@@ -635,41 +652,14 @@ impl EstimatorService {
         Ok(())
     }
 
-    /// One [`MetricsSnapshot`] over the whole pipeline: request/stage
-    /// latency histograms, queue depth gauge and wait histogram, breaker
-    /// transition counters (recorded live), plus the service's own
-    /// counters merged in under `serve.*` names, and the sliding-window
-    /// q-error summary when ground truth has been observed.
+    /// One [`MetricsSnapshot`] over the whole pipeline: every registered
+    /// counter and gauge (service, stages, breakers, admission queue,
+    /// batcher, and attached adaptation and persistence), the
+    /// request/stage latency and queue-wait histograms, and the
+    /// sliding-window q-error summary when ground truth has been
+    /// observed.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.recorder.snapshot();
-        let stats = self.stats();
-        snap.merge_counter("serve.answered", stats.answered);
-        snap.merge_counter("serve.floor.answers", stats.floor_answers);
-        snap.merge_counter("serve.deadline_exceeded", stats.deadline_exceeded);
-        snap.merge_counter("serve.queue.admitted", stats.admission.admitted);
-        snap.merge_counter("serve.queue.rejected", stats.admission.rejected);
-        snap.merge_counter("serve.queue.shed", stats.admission.shed);
-        snap.merge_counter("serve.queue.timeouts", stats.admission.queue_timeouts);
-        snap.merge_counter("serve.batch.drains", stats.batch_drains);
-        snap.merge_counter("serve.batched_requests", stats.batched_requests);
-        snap.merge_counter(
-            "obs.truth.rejected",
-            self.truth_rejected.load(Ordering::Relaxed),
-        );
-        for (i, stage) in stats.stages.iter().enumerate() {
-            snap.merge_counter(&format!("serve.stage{i}.hits"), stage.hits);
-            snap.merge_counter(&format!("serve.stage{i}.timeouts"), stage.timeouts);
-            snap.merge_counter(&format!("serve.stage{i}.panics"), stage.panics);
-            snap.merge_counter(&format!("serve.stage{i}.skipped_open"), stage.skipped_open);
-            for (label, n) in &stage.errors {
-                if *n > 0 {
-                    snap.merge_counter(&format!("serve.stage{i}.errors.{label}"), *n);
-                }
-            }
-            // Breaker transitions are recorded live by the breaker's own
-            // recorder hook — merging `stage.breaker` here would double
-            // count them.
-        }
         snap.qerror = self.qerror.summary();
         snap
     }
@@ -677,24 +667,24 @@ impl EstimatorService {
     /// One coherent snapshot of every service counter.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
-            answered: self.answered.load(Ordering::Relaxed),
-            floor_answers: self.floor_answers.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
+            answered: self.answered.get(),
+            floor_answers: self.floor_answers.get(),
+            deadline_exceeded: self.deadline_exceeded.get(),
             admission: self.admission.stats(),
-            batch_drains: self.batch_drains.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            batch_drains: self.batch_drains.get(),
+            batched_requests: self.batched_requests.get(),
             stages: self
                 .stages
                 .iter()
                 .map(|s| StageServiceStats {
                     name: s.name.clone(),
-                    hits: s.hits.load(Ordering::Relaxed),
-                    timeouts: s.timeouts.load(Ordering::Relaxed),
-                    panics: s.panics.load(Ordering::Relaxed),
-                    skipped_open: s.skipped_open.load(Ordering::Relaxed),
+                    hits: s.hits.get(),
+                    timeouts: s.timeouts.get(),
+                    panics: s.panics.get(),
+                    skipped_open: s.skipped_open.get(),
                     errors: EstimateErrorKind::ALL
                         .iter()
-                        .map(|k| (k.label(), s.errors[k.as_index()].load(Ordering::Relaxed)))
+                        .map(|k| (k.label(), s.errors[k.as_index()].get()))
                         .collect(),
                     breaker: s.breaker.stats(),
                 })

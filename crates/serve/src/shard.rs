@@ -31,11 +31,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
 use qfe_core::{fnv1a_128, Deadline, Estimate, Query, SubSchema};
-use qfe_obs::MetricsSnapshot;
+use qfe_obs::{Counter, Gauge, MetricsRecorder, MetricsSnapshot, Recorder};
 use qfe_store::{Checkpoint, CheckpointStore, StoreConfig, StoreFs};
 
 use crate::batch::MicroBatcher;
@@ -171,14 +171,16 @@ pub struct Shard {
     service: Arc<EstimatorService>,
     batcher: MicroBatcher,
     quota: usize,
-    in_flight: AtomicUsize,
-    routed: AtomicU64,
-    admitted: AtomicU64,
-    quota_shed: AtomicU64,
+    in_flight: Gauge,
+    routed: Counter,
+    admitted: Counter,
+    quota_shed: Counter,
+    /// The quota gate's counters and gauges, registered once.
+    recorder: MetricsRecorder,
 }
 
 /// Decrements `in_flight` even when the service call panics or errors.
-struct QuotaGuard<'a>(&'a AtomicUsize);
+struct QuotaGuard<'a>(&'a Gauge);
 
 impl Drop for QuotaGuard<'_> {
     fn drop(&mut self) {
@@ -212,16 +214,20 @@ impl Shard {
         quota: usize,
     ) -> Arc<Self> {
         let batcher = MicroBatcher::new(Arc::clone(&service));
+        let quota = quota.max(1);
+        let recorder = MetricsRecorder::new();
+        recorder.set_gauge("routing.quota", quota as u64);
         Arc::new(Shard {
             name: name.into(),
             key,
             service,
             batcher,
-            quota: quota.max(1),
-            in_flight: AtomicUsize::new(0),
-            routed: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            quota_shed: AtomicU64::new(0),
+            quota,
+            in_flight: recorder.new_gauge("routing.in_flight"),
+            routed: recorder.new_counter("routing.routed"),
+            admitted: recorder.new_counter("routing.admitted"),
+            quota_shed: recorder.new_counter("routing.quota_shed"),
+            recorder,
         })
     }
 
@@ -287,7 +293,7 @@ impl Shard {
         // Optimistic increment-then-check keeps the gate race-free: two
         // racing arrivals at quota-1 can't both slip under the cap.
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.quota {
+        if prev >= self.quota as u64 {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
             self.quota_shed.fetch_add(1, Ordering::AcqRel);
             return Err(ShardError::QuotaExhausted {
@@ -298,6 +304,11 @@ impl Shard {
         let _guard = QuotaGuard(&self.in_flight);
         self.admitted.fetch_add(1, Ordering::AcqRel);
         Ok(self.batcher.submit_within(query, deadline)?)
+    }
+
+    /// The micro-batcher in front of the service.
+    pub fn batcher(&self) -> &MicroBatcher {
+        &self.batcher
     }
 
     /// Quota-gate counters (see [`ShardStats::conserved`]).
@@ -312,7 +323,7 @@ impl Shard {
             routed,
             admitted: self.admitted.load(Ordering::Acquire),
             quota_shed: self.quota_shed.load(Ordering::Acquire),
-            in_flight: self.in_flight.load(Ordering::Acquire),
+            in_flight: self.in_flight.load(Ordering::Acquire) as usize,
             quota: self.quota,
         }
     }
@@ -321,14 +332,7 @@ impl Shard {
     /// gate as `routing.*` counters and gauges.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.service.metrics();
-        let stats = self.stats();
-        snap.merge_counter("routing.routed", stats.routed);
-        snap.merge_counter("routing.admitted", stats.admitted);
-        snap.merge_counter("routing.quota_shed", stats.quota_shed);
-        snap.gauges
-            .insert("routing.in_flight".into(), stats.in_flight as u64);
-        snap.gauges
-            .insert("routing.quota".into(), stats.quota as u64);
+        snap.merge_prefixed("", &self.recorder.snapshot());
         snap
     }
 }
@@ -395,20 +399,36 @@ impl std::error::Error for RegisterError {}
 ///    keys therefore route identically for as long as membership is
 ///    unchanged, and evicting a shard only remaps the keys *that shard*
 ///    owned — everyone else's routing is untouched.
-#[derive(Default)]
 pub struct ShardRegistry {
     shards: RwLock<HashMap<u128, Arc<Shard>>>,
-    registered_total: AtomicU64,
-    evicted_total: AtomicU64,
-    exact_routes: AtomicU64,
-    rendezvous_routes: AtomicU64,
-    unroutable: AtomicU64,
+    registered_total: Counter,
+    evicted_total: Counter,
+    exact_routes: Counter,
+    rendezvous_routes: Counter,
+    unroutable: Counter,
+    /// The fleet-level `registry.*` counters, registered once.
+    recorder: MetricsRecorder,
+}
+
+impl Default for ShardRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ShardRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        Self::default()
+        let recorder = MetricsRecorder::new();
+        ShardRegistry {
+            shards: RwLock::default(),
+            registered_total: recorder.new_counter("registry.registered_total"),
+            evicted_total: recorder.new_counter("registry.evicted_total"),
+            exact_routes: recorder.new_counter("registry.routes.exact"),
+            rendezvous_routes: recorder.new_counter("registry.routes.rendezvous"),
+            unroutable: recorder.new_counter("registry.routes.unroutable"),
+            recorder,
+        }
     }
 
     /// Poisoned-lock fallback: a panic while holding the registry lock
@@ -517,27 +537,7 @@ impl ShardRegistry {
     /// One fleet-wide snapshot: `registry.*` counters plus every
     /// shard's metrics under `shard.<name>.`.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        snap.merge_counter(
-            "registry.registered_total",
-            self.registered_total.load(Ordering::Acquire),
-        );
-        snap.merge_counter(
-            "registry.evicted_total",
-            self.evicted_total.load(Ordering::Acquire),
-        );
-        snap.merge_counter(
-            "registry.routes.exact",
-            self.exact_routes.load(Ordering::Acquire),
-        );
-        snap.merge_counter(
-            "registry.routes.rendezvous",
-            self.rendezvous_routes.load(Ordering::Acquire),
-        );
-        snap.merge_counter(
-            "registry.routes.unroutable",
-            self.unroutable.load(Ordering::Acquire),
-        );
+        let mut snap = self.recorder.snapshot();
         snap.gauges
             .insert("registry.shards".into(), self.len() as u64);
         for shard in self.shards() {

@@ -17,7 +17,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
 use qfe_core::error::EstimateError;
@@ -27,7 +27,7 @@ use qfe_ml::gbdt::Gbdt;
 use qfe_ml::matrix::Matrix;
 use qfe_ml::serialize::{gbdt_from_bytes, DecodeError};
 use qfe_ml::train::Regressor;
-use qfe_obs::Recorder;
+use qfe_obs::{Counter, Gauge, Recorder};
 
 /// Why a candidate model was refused publication.
 #[derive(Debug, PartialEq)]
@@ -118,23 +118,11 @@ pub trait ModelPersister: Send + Sync {
 /// current when the call started.
 pub struct ModelSlot {
     current: RwLock<SharedEstimator>,
-    generation: AtomicU64,
-    published: AtomicU64,
-    rejected: AtomicU64,
-    rolled_back: AtomicU64,
-    events: RwLock<Option<SlotEvents>>,
+    generation: Gauge,
+    published: Counter,
+    rejected: Counter,
+    rolled_back: Counter,
     persister: RwLock<Option<Arc<dyn ModelPersister>>>,
-}
-
-/// Precomputed metric names + sink for slot lifecycle events. Names are
-/// built once in [`ModelSlot::set_recorder`] so the swap path never
-/// allocates for metrics.
-struct SlotEvents {
-    recorder: Arc<dyn Recorder>,
-    accepted: String,
-    rejected: String,
-    rolled_back: String,
-    generation: String,
 }
 
 impl ModelSlot {
@@ -142,11 +130,10 @@ impl ModelSlot {
     pub fn new(initial: SharedEstimator) -> Self {
         ModelSlot {
             current: RwLock::new(initial),
-            generation: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rolled_back: AtomicU64::new(0),
-            events: RwLock::new(None),
+            generation: Gauge::new(),
+            published: Counter::new(),
+            rejected: Counter::new(),
+            rolled_back: Counter::new(),
             persister: RwLock::new(None),
         }
     }
@@ -163,36 +150,21 @@ impl ModelSlot {
         }
     }
 
-    /// Route slot lifecycle events to `recorder` under `prefix`:
-    /// `{prefix}.swap.accepted`, `{prefix}.swap.rejected`,
+    /// Register the slot's lifecycle counters with `recorder` under
+    /// `prefix`: `{prefix}.swap.accepted`, `{prefix}.swap.rejected`,
     /// `{prefix}.swap.rolled_back` (counters) and `{prefix}.generation`
-    /// (gauge, set on every publication). The gauge is also set once
-    /// here so a slot that never swaps still reports its generation.
+    /// (gauge). These are the values [`swap_counts`](Self::swap_counts),
+    /// [`rollback_count`](Self::rollback_count) and
+    /// [`generation`](Self::generation) read.
     pub fn set_recorder(&self, recorder: Arc<dyn Recorder>, prefix: &str) {
-        let events = SlotEvents {
-            accepted: format!("{prefix}.swap.accepted"),
-            rejected: format!("{prefix}.swap.rejected"),
-            rolled_back: format!("{prefix}.swap.rolled_back"),
-            generation: format!("{prefix}.generation"),
-            recorder,
-        };
-        events
-            .recorder
-            .set_gauge(&events.generation, self.generation());
-        match self.events.write() {
-            Ok(mut g) => *g = Some(events),
-            Err(poisoned) => *poisoned.into_inner() = Some(events),
+        for (name, counter) in [
+            ("swap.accepted", &self.published),
+            ("swap.rejected", &self.rejected),
+            ("swap.rolled_back", &self.rolled_back),
+        ] {
+            recorder.register_counter(&format!("{prefix}.{name}"), counter);
         }
-    }
-
-    fn emit<F: Fn(&SlotEvents)>(&self, f: F) {
-        let guard = match self.events.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(events) = guard.as_ref() {
-            f(events);
-        }
+        recorder.register_gauge(&format!("{prefix}.generation"), &self.generation);
     }
 
     fn read(&self) -> SharedEstimator {
@@ -217,15 +189,12 @@ impl ModelSlot {
     /// `(published, rejected)` swap attempts so far. Publications made by
     /// [`try_rollback`](ModelSlot::try_rollback) count in `published`.
     pub fn swap_counts(&self) -> (u64, u64) {
-        (
-            self.published.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-        )
+        (self.published.get(), self.rejected.get())
     }
 
     /// Publications that were rollbacks to a previously pinned model.
     pub fn rollback_count(&self) -> u64 {
-        self.rolled_back.load(Ordering::Relaxed)
+        self.rolled_back.get()
     }
 
     /// Validate `candidate` on `probe` and, if it passes, publish it
@@ -246,12 +215,8 @@ impl ModelSlot {
                     Ok(mut g) => *g = candidate,
                     Err(poisoned) => *poisoned.into_inner() = candidate,
                 }
-                self.published.fetch_add(1, Ordering::Relaxed);
+                self.published.incr();
                 let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-                self.emit(|ev| {
-                    ev.recorder.incr(&ev.accepted);
-                    ev.recorder.set_gauge(&ev.generation, generation);
-                });
                 let persister = {
                     let guard = match self.persister.read() {
                         Ok(g) => g,
@@ -267,8 +232,7 @@ impl ModelSlot {
                 Ok(generation)
             }
             Err(e) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.emit(|ev| ev.recorder.incr(&ev.rejected));
+                self.rejected.incr();
                 Err(e)
             }
         }
@@ -284,8 +248,7 @@ impl ModelSlot {
     /// `{prefix}.swap.rolled_back` metric.
     pub fn try_rollback(&self, pinned: SharedEstimator, probe: &[Query]) -> Result<u64, SwapError> {
         let generation = self.try_publish(pinned, probe)?;
-        self.rolled_back.fetch_add(1, Ordering::Relaxed);
-        self.emit(|ev| ev.recorder.incr(&ev.rolled_back));
+        self.rolled_back.incr();
         Ok(generation)
     }
 
