@@ -162,10 +162,11 @@ impl UniversalConjunctionEncoding {
         }
         for (col, expr) in group_by_column(query) {
             let pos = self.position_of(col)?;
-            self.encode_attr(
+            self.encode_attr_in(
                 pos,
                 &expr,
                 &mut out[self.offsets[pos]..self.offsets[pos + 1]],
+                &mut Vec::new(),
             )?;
         }
         Ok(())
@@ -183,19 +184,9 @@ impl UniversalConjunctionEncoding {
 
     /// Encode one attribute's merged predicate expression into its segment
     /// of the feature vector (`seg` has length `buckets_of(pos)` plus the
-    /// selectivity slot if enabled). This is the per-attribute unit of work
-    /// that [`super::MemoFeaturizer`] memoizes across sub-plan probes.
-    pub(crate) fn encode_attr(
-        &self,
-        pos: usize,
-        expr: &crate::predicate::PredicateExpr,
-        seg: &mut [f32],
-    ) -> Result<(), QfeError> {
-        self.encode_attr_in(pos, expr, seg, &mut Vec::new())
-    }
-
-    /// [`Self::encode_attr`] with a caller-owned leaf-reference scratch,
-    /// so the per-query loop reuses one allocation across attributes.
+    /// selectivity slot if enabled). `leaves` is a caller-owned
+    /// leaf-reference scratch, so the per-query loop reuses one allocation
+    /// across attributes.
     fn encode_attr_in<'q>(
         &self,
         pos: usize,

@@ -52,7 +52,7 @@ pub mod value;
 pub use deadline::Deadline;
 pub use error::{EstimateError, EstimateErrorKind, QfeError};
 pub use estimator::{CardinalityEstimator, Estimate, GenerationSource};
-pub use fingerprint::{expr_fingerprint, fnv1a_128, CanonicalQuery, QueryFingerprint};
+pub use fingerprint::{fnv1a_128, CanonicalQuery, QueryFingerprint};
 pub use metrics::{q_error, ErrorSummary, SummaryError};
 pub use parallel::ThreadPool;
 pub use parse::{parse_single_table_query, parse_where};
