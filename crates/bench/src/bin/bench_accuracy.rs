@@ -1,6 +1,6 @@
 //! CI accuracy gate: trains the GB model on the synthetic forest
 //! workload at smoke scale for each of the four QFTs, asserts the median
-//! q-error stays within the committed per-QFT bound, and writes the
+//! and p95 q-error stay within the committed per-QFT bounds, and writes the
 //! machine-readable record to `ACCURACY.json` (override with
 //! `QFE_ACCURACY_JSON`).
 //!
@@ -16,7 +16,7 @@
 //! quantization cuts), so compiled-model construction is under the same
 //! determinism gate as training.
 //!
-//! Exits non-zero if any QFT's median q-error exceeds its bound.
+//! Exits non-zero if any QFT's median or p95 q-error exceeds its bound.
 
 use qfe_bench::envs::ForestEnv;
 use qfe_bench::trainers::{make_featurizer, q_errors, train_single_table, ModelKind, QftKind};
@@ -26,16 +26,18 @@ use qfe_core::metrics::ErrorSummary;
 use qfe_core::TableId;
 use qfe_ml::{gbdt_to_bytes, Gbdt, GbdtConfig, Matrix, Regressor};
 
-/// Committed per-QFT median q-error bounds at smoke scale (GB model,
-/// fixed seeds). Derived from the committed `ACCURACY.json` medians with
-/// ≈50% headroom so legitimate refactors don't trip the gate while a
-/// real accuracy regression (bad featurization, broken reduction order)
-/// still does.
-const BOUNDS: [(QftKind, f64); 4] = [
-    (QftKind::Simple, 5.0),
-    (QftKind::Range, 4.0),
-    (QftKind::Conjunctive, 3.0),
-    (QftKind::Complex, 2.7),
+/// Committed per-QFT `(median, p95)` q-error bounds at smoke scale (GB
+/// model, fixed seeds). Derived from the committed `ACCURACY.json`
+/// medians and p95s with ≈50% headroom so legitimate refactors don't
+/// trip the gate while a real accuracy regression (bad featurization,
+/// broken reduction order) still does. The p95 bound catches a
+/// regression confined to the tail — a handful of badly featurized
+/// queries — that leaves the median in place.
+const BOUNDS: [(QftKind, f64, f64); 4] = [
+    (QftKind::Simple, 5.0, 40.0),
+    (QftKind::Range, 4.0, 38.0),
+    (QftKind::Conjunctive, 3.0, 25.0),
+    (QftKind::Complex, 2.7, 19.0),
 ];
 
 /// FNV-1a 64-bit over `bytes`, rendered as fixed-width hex.
@@ -91,10 +93,10 @@ fn main() {
     let mut rows_json = Vec::new();
     let mut failed = false;
     println!(
-        "accuracy gate: GB on forest at scale '{}' (median q-error ≤ bound)",
+        "accuracy gate: GB on forest at scale '{}' (median and p95 q-error ≤ bounds)",
         scale.label
     );
-    for (qft, bound) in BOUNDS {
+    for (qft, bound, p95_bound) in BOUNDS {
         let (train, test) = match qft {
             QftKind::Complex => (&env.mixed_train, &env.mixed_test),
             _ => (&env.conj_train, &env.conj_test),
@@ -109,27 +111,29 @@ fn main() {
             true,
         );
         let summary = ErrorSummary::from_errors(&q_errors(&est, test));
-        let ok = summary.median <= bound;
+        let ok = summary.median <= bound && summary.p95 <= p95_bound;
         failed |= !ok;
         println!(
-            "  GB + {:<7} median {:>8.3}   p95 {:>9.3}   p99 {:>9.3}   bound {:>5.1}   {}",
+            "  GB + {:<7} median {:>8.3}   p95 {:>9.3}   p99 {:>9.3}   bounds {:>5.1} / {:>5.1}   {}",
             qft.label(),
             summary.median,
             summary.p95,
             summary.p99,
             bound,
+            p95_bound,
             if ok { "ok" } else { "FAIL" }
         );
         // Full-precision Display (shortest round-trip) so any bit-level
         // difference between thread counts shows up in the byte diff.
         rows_json.push(format!(
-            "\"{}\":{{\"median\":{},\"p95\":{},\"p99\":{},\"max\":{},\"bound\":{}}}",
+            "\"{}\":{{\"median\":{},\"p95\":{},\"p99\":{},\"max\":{},\"bound\":{},\"p95_bound\":{}}}",
             qft.label(),
             summary.median,
             summary.p95,
             summary.p99,
             summary.max,
-            bound
+            bound,
+            p95_bound
         ));
     }
 
@@ -145,7 +149,7 @@ fn main() {
     eprintln!("wrote {path}");
 
     if failed {
-        eprintln!("ACCURACY REGRESSION: at least one QFT exceeded its committed bound");
+        eprintln!("ACCURACY REGRESSION: at least one QFT exceeded a committed bound");
         std::process::exit(1);
     }
 }
